@@ -20,7 +20,7 @@ from .reducer import reduce, reduce_direct
 from .sums import structure_check, sum_power, sum_power_shifted, sum_product
 from .verify import SUITES, run_table, run_verify
 
-__all__ = ["PolyParseError", "parse_poly", "main", "canonical_argv"]
+__all__ = ["PolyParseError", "parse_poly", "main"]
 
 FORMATS = ("text", "latex", "json")
 METHODS = ("recurrence", "theorem", "both")
@@ -68,14 +68,21 @@ def _tokenize(text: str):
     return out
 
 
+# Each parenthesis level costs four stack frames (expr, term, factor, atom),
+# so this stays far below the interpreter's default recursion limit of 1000.
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive-descent parser for integer/rational polynomial expressions
     in one variable (``m`` or ``n``), with ``+ - * / ^`` and parentheses.
-    Division is only by nonzero constants; exponents are integer literals."""
+    Division is only by nonzero constants; exponents are integer literals;
+    parentheses nest at most ``MAX_NESTING`` deep."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -161,7 +168,11 @@ class _Parser:
                 return Polynomial.variable()
             raise PolyParseError(f"unknown identifier {value!r}", off)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise PolyParseError("parentheses nested too deeply", off)
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             kind, _, off = self.advance()
             if kind != ")":
                 raise PolyParseError("expected ')'", off)
@@ -284,80 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=SUITES, required=True)
     p_verify.add_argument("--max-n", type=int, required=True)
-    p_verify.add_argument("--threads", type=int, default=1)
 
     return top
-
-
-def canonical_argv(args: argparse.Namespace) -> "list[str]":
-    """The canonical flag sequence that reparses to the same request."""
-    cmd = args.command
-    if cmd == "reduce":
-        return [
-            "reduce",
-            "-p",
-            str(args.power),
-            "--comp",
-            ",".join(str(k) for k in _parse_comp(args.comp)),
-            "--method",
-            args.method,
-            "--format",
-            args.format,
-        ]
-    if cmd == "sum":
-        out = ["sum", "--poly", parse_poly(args.poly).text("m")]
-        if args.power is not None:
-            out += ["--power", str(args.power)]
-        else:
-            out += [
-                "--factors",
-                ",".join(f"{o}^{m}" for o, m in _parse_factors(args.factors)),
-            ]
-        if args.shifted:
-            out.append("--shifted")
-        out += ["--format", args.format]
-        return out
-    if cmd == "eval":
-        return [
-            "eval",
-            "--n",
-            str(args.n),
-            "--comp",
-            ",".join(str(k) for k in _parse_comp(args.comp)),
-            "--format",
-            args.format,
-        ]
-    if cmd == "check":
-        return [
-            "check",
-            "--poly",
-            parse_poly(args.poly).text("m"),
-            "--power",
-            str(args.power),
-        ]
-    if cmd == "bernoulli":
-        return ["bernoulli", "--max", str(args.max), "--convention", args.convention]
-    if cmd == "table":
-        return [
-            "table",
-            "--p-max",
-            str(args.p_max),
-            "--weight-max",
-            str(args.weight_max),
-            "--n",
-            str(args.n),
-        ]
-    if cmd == "verify":
-        return [
-            "verify",
-            "--suite",
-            args.suite,
-            "--max-n",
-            str(args.max_n),
-            "--threads",
-            str(args.threads),
-        ]
-    raise ValueError(f"unknown command {cmd!r}")
 
 
 # ------------------------------------------------------------------ actions
@@ -457,10 +396,7 @@ def _cmd_verify(args) -> int:
     if args.max_n < 0:
         print("error: --max-n must be nonnegative", file=sys.stderr)
         return 2
-    if args.threads < 1:
-        print("error: --threads must be positive", file=sys.stderr)
-        return 2
-    return run_verify(args.suite, args.max_n, threads=args.threads)
+    return run_verify(args.suite, args.max_n)
 
 
 _ACTIONS = {

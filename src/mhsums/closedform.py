@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .oracle import is_proper, mhs_eval
-from .polynomial import Polynomial
+from .polynomial import Polynomial, join_signed
 from .stuffle import composition_key
 
 __all__ = ["ClosedForm"]
@@ -144,36 +144,12 @@ class ClosedForm:
 
     def render(self, fmt: str = "text") -> str:
         if fmt == "text":
-            return self._render_text()
+            return join_signed([_term_text(c, p) for c, p in self.terms])
         if fmt == "latex":
-            return self._render_latex()
+            return join_signed([_term_latex(c, p) for c, p in self.terms])
         if fmt == "json":
             return self.to_json()
         raise ValueError(f"unknown format {fmt!r}")
-
-    def _render_text(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for comp, poly in self.terms:
-            pieces.append(_term_text(comp, poly))
-        sign, body = pieces[0]
-        parts = [body if sign == "+" else "-" + body]
-        for sign, body in pieces[1:]:
-            parts.append(f" {sign} {body}")
-        return "".join(parts)
-
-    def _render_latex(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for comp, poly in self.terms:
-            pieces.append(_term_latex(comp, poly))
-        sign, body = pieces[0]
-        parts = [body if sign == "+" else "-" + body]
-        for sign, body in pieces[1:]:
-            parts.append(f" {sign} {body}")
-        return "".join(parts)
 
     # ---------------------------------------------------------------- JSON
 

@@ -192,36 +192,33 @@ class Polynomial:
 
     def text(self, var: str = "n") -> str:
         """Plain-text form, descending powers, e.g. ``3*n^2 - 5*n + 2``."""
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            parts.append(("-" if c < 0 else "+", _mono_text(abs(c), i, var)))
-        sign, body = parts[0]
-        pieces = [body if sign == "+" else "-" + body]
-        for sign, body in parts[1:]:
-            pieces.append(f" {sign} {body}")
-        return "".join(pieces)
+        return join_signed(self._signed(_mono_text, var))
 
     def latex(self, var: str = "n") -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            parts.append(("-" if c < 0 else "+", _mono_latex(abs(c), i, var)))
-        sign, body = parts[0]
-        pieces = [body if sign == "+" else "-" + body]
-        for sign, body in parts[1:]:
-            pieces.append(f"{sign}{body}")
-        return "".join(pieces)
+        return join_signed(self._signed(_mono_latex, var), pad="")
+
+    def _signed(self, mono, var: str) -> "list[tuple[str, str]]":
+        """(sign, monomial body) pairs in descending powers."""
+        return [
+            ("-" if c < 0 else "+", mono(abs(c), i, var))
+            for i, c in reversed(list(enumerate(self.coeffs)))
+            if c
+        ]
 
     __str__ = text
+
+
+def join_signed(parts: "list[tuple[str, str]]", pad: str = " ") -> str:
+    """Join (sign, body) pairs into ``body - body + body``.
+
+    The first sign is written only when negative, and without padding; each
+    later sign sits between ``pad`` strings.  No parts give ``"0"``.
+    """
+    if not parts:
+        return "0"
+    (sign, body), rest = parts[0], parts[1:]
+    head = body if sign == "+" else "-" + body
+    return head + "".join(f"{pad}{sign}{pad}{body}" for sign, body in rest)
 
 
 def _coerce(value: object) -> "Polynomial | None":

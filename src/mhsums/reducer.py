@@ -27,6 +27,15 @@ factors C(p+1-a_i-j_1-...-j_{i-1}, j_i) * B_{j_i} / (p+1-a_i-j_1-...-j_{i-1})
 times x**(p+1-a_r-j_1-...-j_r), with a_1 = 0 implicit.  Every exponent in the
 result is at least 1.  ``d_umbral`` is the umbral Bernoulli value of such a
 polynomial divided by x.
+
+``c_poly`` and ``reduce_direct`` run the same factor chain through one
+helper, ``_chain_step``.  Each factor depends on the earlier j's only through
+their sum, so the chain keeps one merged state per partial sum instead of
+listing every j-tuple; the cost is polynomial in p and the depth.
+``faulhaber`` builds its factors on its own, and the recurrence behind
+``reduce`` reads them from Faulhaber's polynomial; neither uses the chain
+helper, so that the two reduction routes stay independent checks of each
+other.
 """
 
 from __future__ import annotations
@@ -77,28 +86,38 @@ def c_poly(p: int, index: "tuple[int, ...]" = ()) -> Polynomial:
     return _c_poly(p, index)
 
 
+def _chain_step(
+    states: "dict[int, Fraction]", d: int, h: int
+) -> "dict[int, Fraction]":
+    """One step of the Bernoulli-weighted binomial chain.
+
+    ``states`` maps a partial sum s = j_1 + ... + j_i to the summed factor
+    products that reach it.  The step multiplies state s by
+    C(d - s, j) * B_j / (d - s) for 0 <= j <= h - s and merges the products
+    by s + j.  Later steps see only the partial sum, so merging is exact.
+    """
+    out: "dict[int, Fraction]" = {}
+    for s, acc in states.items():
+        dd = d - s
+        # every caller keeps h < d, so a factor is only ever taken with dd >= 1
+        assert s > h or dd > 0
+        for j in range(h - s + 1):
+            b = bernoulli(j, "plus")
+            if b:
+                out[s + j] = out.get(s + j, 0) + acc * Fraction(math.comb(dd, j), dd) * b
+    return out
+
+
 @lru_cache(maxsize=None)
 def _c_poly(p: int, index: "tuple[int, ...]") -> Polynomial:
     subs = (0,) + index
-    r = len(subs)
-    budget = p - subs[-1]
-    if budget < 0:
-        return Polynomial()
-    coeffs = [Fraction(0)] * (p + 2 - subs[-1])
-
-    def walk(i: int, used: int, acc: Fraction) -> None:
-        if i > r:
-            coeffs[p + 1 - subs[-1] - used] += acc
-            return
-        denom = p + 1 - subs[i - 1] - used
-        # for weakly increasing subscripts, denom >= 1 + subs[-1] - subs[i-1] >= 1
-        assert denom > 0
-        for j in range(budget - used + 1):
-            b = bernoulli(j, "plus")
-            if b:
-                walk(i + 1, used + j, acc * Fraction(math.comb(denom, j), denom) * b)
-
-    walk(1, 0, Fraction(1))
+    top = p + 1 - subs[-1]
+    states = {0: Fraction(1)}
+    for a in subs:
+        states = _chain_step(states, p + 1 - a, top - 1)
+    coeffs = [Fraction(0)] * (top + 1)
+    for s, acc in states.items():
+        coeffs[top - s] = acc
     return Polynomial(coeffs)
 
 
@@ -124,12 +143,12 @@ def _reduce(p: int, comp: "tuple[int, ...]") -> ClosedForm:
     if not comp:
         return ClosedForm({(): faulhaber(p)})
     head, tail = comp[0], comp[1:]
-    out = ClosedForm({comp: faulhaber(p)})
+    F = faulhaber(p)
+    out = ClosedForm({comp: F})
     for j in range(p + 1):
-        b = bernoulli(j, "plus")
-        if not b:
+        c = F.coeffs[p + 1 - j]  # C(p+1, j) * B_j / (p+1)
+        if not c:
             continue
-        c = Fraction(math.comb(p + 1, j), p + 1) * b
         first = head + j - p - 1
         if first >= 1:
             out = out - ClosedForm({(first,) + tail: c})
@@ -154,67 +173,25 @@ def reduce_direct(p: int, comp: "tuple[int, ...]") -> ClosedForm:
         kw[i] = kw[i - 1] + comp[i - 1]
     kw[r + 1] = kw[r] + 1  # the final, absorbed entry counts as 1
 
-    acc: "dict[tuple[int, ...], dict[int, Fraction]]" = {}
-
-    def bump(composition: "tuple[int, ...]", exponent: int, value: Fraction) -> None:
-        slot = acc.setdefault(composition, {})
-        slot[exponent] = slot.get(exponent, Fraction(0)) + value
-
-    def prefixes(length: int) -> "list[tuple[int, Fraction]]":
-        """All admissible (j_1..j_length): partial sum and factor product.
-
-        Step i is bounded by p + i - (k_1+...+k_i) - (j_1+...+j_{i-1}), which
-        keeps the running power weight nonnegative.
-        """
-        states = [(0, Fraction(1))]
-        for i in range(1, length + 1):
-            nxt = []
-            for jsum, coeff in states:
-                dd = p + i - kw[i - 1] - jsum  # current power weight + 1
-                hi = p + i - kw[i] - jsum
-                for j in range(hi + 1):
-                    b = bernoulli(j, "plus")
-                    if b:
-                        nxt.append((jsum + j, coeff * Fraction(math.comb(dd, j), dd) * b))
-            states = nxt
-        return states
-
-    for l in range(1, r + 1):
+    terms = []
+    prefix = {0: Fraction(1)}  # chain states over j_1, ..., j_{l-1}
+    for l in range(1, r + 2):
         sign = -1 if l % 2 else 1  # (-1)**l
-        tail_l = comp[l - 1 :]
-        drop_l = comp[l:]
-        for jsum, coeff in prefixes(l - 1):
-            pl = p + l - 1 - kw[l - 1] - jsum  # current power weight
-            dd = pl + 1
-            # leading block: polynomial coefficient times H(k_l, ..., k_r)
-            for j in range(pl + 1):
-                b = bernoulli(j, "plus")
-                if b:
-                    bump(tail_l, dd - j, -sign * coeff * Fraction(math.comb(dd, j), dd) * b)
-            # middle block: proper terms whose first entry drops below k_l
-            lo = max(0, p + l + 1 - kw[l] - jsum)
-            for j in range(lo, pl + 1):
-                b = bernoulli(j, "plus")
-                if b:
-                    q = kw[l] + jsum + j - l - p
-                    bump((q,) + drop_l, 0, sign * coeff * Fraction(math.comb(dd, j), dd) * b)
-
-    # final block: the pure polynomial part, after all entries are absorbed
-    sign = -1 if r % 2 else 1
-    for jsum, coeff in prefixes(r):
-        pr = p + r - kw[r] - jsum
-        dd = pr + 1
-        for j in range(pr + 1):
-            b = bernoulli(j, "plus")
-            if b:
-                bump((), dd - j, sign * coeff * Fraction(math.comb(dd, j), dd) * b)
-
-    terms = {}
-    for composition, exps in acc.items():
-        coeffs = [Fraction(0)] * (max(exps) + 1)
-        for e, v in exps.items():
-            coeffs[e] = v
-        poly = Polynomial(coeffs)
-        if poly:
-            terms[composition] = poly
+        d = p + l - kw[l - 1]  # power weight + 1, less the partial sum
+        states = _chain_step(prefix, d, d - 1)
+        # leading block: polynomial coefficient times H(k_l, ..., k_r); at
+        # l = r + 1 this is the final, pure polynomial block
+        lead = [Fraction(0)] * (d + 1)
+        for s, acc in states.items():
+            lead[d - s] = -sign * acc
+        terms.append((comp[l - 1 :], Polynomial(lead)))
+        # a partial sum past the next step's budget drops the first entry
+        # below k_l (middle block); the others carry on as the next prefix
+        budget = p + l - kw[l]
+        prefix = {}
+        for s, acc in states.items():
+            if s <= budget:
+                prefix[s] = acc
+            else:
+                terms.append(((kw[l] + s - l - p,) + comp[l:], sign * acc))
     return ClosedForm(terms)

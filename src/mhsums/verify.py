@@ -1,15 +1,14 @@
 """Verification suites and the comparison table behind the command line.
 
 Each suite is a list of (label, check) pairs; a check returns (ok, detail).
-Results print one line per identity in a fixed order regardless of worker
-count, and the overall status is 0 only when everything passed.  All random
-choices are seeded, so repeated runs are byte-identical.
+Results print one line per identity in a fixed order, and the overall
+status is 0 only when everything passed.  All random choices are seeded, so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .closedform import ClosedForm
@@ -230,7 +229,7 @@ def _monomial(p: int) -> Polynomial:
     return Polynomial.monomial(p)
 
 
-def run_verify(suite: str, max_n: int, threads: int = 1, echo=print) -> int:
+def run_verify(suite: str, max_n: int, echo=print) -> int:
     """Run one suite; print a line per identity; return a process exit code."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
@@ -242,28 +241,18 @@ def run_verify(suite: str, max_n: int, threads: int = 1, echo=print) -> int:
     if max_n == 0:
         echo("warning: --max-n 0 leaves the evaluation range empty")
 
-    def run_one(item):
-        label, check = item
+    failures = 0
+    for label, check in checks:
         try:
             ok, detail = check()
         except Exception as exc:  # a crash must surface as a failure, not silence
             ok, detail = False, f"error: {exc!r}"
-        return label, ok, detail
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, checks))
-    else:
-        results = [run_one(item) for item in checks]
-
-    failures = 0
-    for label, ok, detail in results:
         if ok:
             echo(f"PASS {label}")
         else:
             failures += 1
             echo(f"FAIL {label}: {detail}")
-    echo(f"{len(results) - failures}/{len(results)} identities verified")
+    echo(f"{len(checks) - failures}/{len(checks)} identities verified")
     return 0 if failures == 0 else 1
 
 

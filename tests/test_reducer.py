@@ -355,9 +355,12 @@ def test_weight_four_numeric_spot():
 
 
 def test_direct_matches_recurrence_structurally():
-    for p in range(5):
-        for comp in compositions_up_to(4, include_empty=False):
-            assert reduce_direct(p, comp) == reduce(p, comp), (p, comp)
+    comps = compositions_up_to(6, include_empty=False)
+    cases = [(p, comp) for p in range(9) for comp in comps]
+    # deep, high-power inputs: the merged chain keeps these polynomial in p
+    cases += [(p, (1,) * r) for p in range(0, 31, 5) for r in range(1, 7)]
+    for p, comp in cases:
+        assert reduce_direct(p, comp) == reduce(p, comp), (p, comp)
 
 
 def test_direct_depth_three_high_weight():

@@ -146,7 +146,8 @@ def test_shifted_reindexing_identity():
 
 
 def test_structured_square_cube_mixed_match_flat():
-    for p in range(5):
+    # p = 10, 20 reach c_poly at high power with up to three subscripts
+    for p in (0, 1, 2, 3, 4, 10, 20):
         xp = x ** p
         assert structured_to_closed(structured_form("hn2", p)) == sum_power(xp, 2)
         assert structured_to_closed(structured_form("hn3", p)) == sum_power(xp, 3)
