@@ -18,7 +18,7 @@ from .oracle import mhs_eval
 from .polynomial import Polynomial
 from .reducer import reduce, reduce_direct
 from .sums import structure_check, sum_power, sum_power_shifted, sum_product
-from .verify import SUITES, run_table, run_verify
+from .verify import SUITES, differing_terms, run_table, run_verify
 
 __all__ = ["PolyParseError", "parse_poly", "main"]
 
@@ -72,12 +72,20 @@ def _tokenize(text: str):
 # so this stays far below the interpreter's default recursion limit of 1000.
 MAX_NESTING = 100
 
+# Input sizes, checked before any work starts.  A weight of degree d and an
+# inner power t cost (d + 1) * 2**(t - 1) reductions of power up to d, and the
+# work of each grows steeply with both; a polynomial power also costs one
+# product per unit of its exponent.
+MAX_DEGREE = 100  # degree of the weight, and any exponent in it
+MAX_POWER = 12  # --power, and the summed multiplicities of --factors
+
 
 class _Parser:
     """Recursive-descent parser for integer/rational polynomial expressions
     in one variable (``m`` or ``n``), with ``+ - * / ^`` and parentheses.
     Division is only by nonzero constants; exponents are integer literals;
-    parentheses nest at most ``MAX_NESTING`` deep."""
+    parentheses nest at most ``MAX_NESTING`` deep; exponents and every
+    product's degree are at most ``MAX_DEGREE``."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -118,7 +126,11 @@ class _Parser:
             kind, _, off = self.peek()
             if kind == "*":
                 self.advance()
-                acc = acc * self.factor()
+                _, _, off2 = self.peek()
+                rhs = self.factor()
+                if acc.degree + rhs.degree > MAX_DEGREE:
+                    raise PolyParseError(f"degree above the limit {MAX_DEGREE}", off2)
+                acc = acc * rhs
             elif kind == "/":
                 self.advance()
                 _, _, off2 = self.peek()
@@ -157,7 +169,12 @@ class _Parser:
         k, _, o = self.peek()
         if k == "/":
             raise PolyParseError("division in exponents", o)
-        return base ** int(value)
+        exponent = int(value)
+        if exponent > MAX_DEGREE or base.degree * exponent > MAX_DEGREE:
+            raise PolyParseError(
+                f"exponent or degree above the limit {MAX_DEGREE}", off
+            )
+        return base ** exponent
 
     def atom(self) -> Polynomial:
         kind, value, off = self.advance()
@@ -320,20 +337,26 @@ def _cmd_reduce(args) -> int:
         if other != primary:
             agree = all(primary.eval(n) == other.eval(n) for n in range(51))
             print("structural mismatch between reduction methods")
-            print(f"recurrence: {primary.render('text')}")
-            print(f"theorem:    {other.render('text')}")
+            differ = differing_terms(primary, other)
+            print(f"compositions whose coefficients differ: {differ}")
             print(f"evaluations for n <= 50 {'agree' if agree else 'differ'}")
             return 1
     print(primary.render(args.format))
     return 0
 
 
+def _check_power_flag(t: int) -> None:
+    """Bounds of --power; ``main`` reports the ValueError with exit code 2."""
+    if t < 0:
+        raise ValueError("--power must be nonnegative")
+    if t > MAX_POWER:
+        raise ValueError(f"--power must be at most {MAX_POWER}")
+
+
 def _cmd_sum(args) -> int:
     F = parse_poly(args.poly)
     if args.power is not None:
-        if args.power < 0:
-            print("error: --power must be nonnegative", file=sys.stderr)
-            return 2
+        _check_power_flag(args.power)
         closed = (
             sum_power_shifted(F, args.power)
             if args.shifted
@@ -343,7 +366,12 @@ def _cmd_sum(args) -> int:
         if args.shifted:
             print("error: --shifted requires --power", file=sys.stderr)
             return 2
-        closed = sum_product(F, _parse_factors(args.factors))
+        factors = _parse_factors(args.factors)
+        if sum(mult for _, mult in factors) > MAX_POWER:
+            raise ValueError(
+                f"--factors multiplicities must add up to at most {MAX_POWER}"
+            )
+        closed = sum_product(F, factors)
     print(closed.render(args.format))
     return 0
 
@@ -358,9 +386,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.power < 0:
-        print("error: --power must be nonnegative", file=sys.stderr)
-        return 2
+    _check_power_flag(args.power)
     report = structure_check(parse_poly(args.poly), args.power)
     payload = {
         "passes": report.passes,
@@ -413,8 +439,19 @@ _ACTIONS = {
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact results can have more digits than the interpreter's int-to-str
+    # guard allows (4300 by default).  Lift it for this call only, so that
+    # library callers in the same process see no change.
+    digit_limit = (
+        sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    )
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _ACTIONS[args.command](args)
     except (PolyParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)

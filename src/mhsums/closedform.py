@@ -7,6 +7,13 @@ structural on the canonical map: basis terms are treated as independent, and
 the direct evaluator (``mhsums.oracle``) serves as the semantic backstop in
 the tests.
 
+Every form is built in one private accumulator, ``_Accumulator``: a mutable
+map from compositions to lists of ``Fraction`` coefficients that sums scaled
+terms in place and is frozen once, building each coefficient ``Polynomial``
+and the ``ClosedForm`` a single time.  The constructor, ``+``, ``-``,
+``scale`` and the reducer and sums modules all go through it; the
+``ClosedForm`` they return stays immutable.
+
 Terms render and serialize in one canonical order (weight, then depth, then
 lexicographic entries), so every emitter is deterministic.
 """
@@ -26,12 +33,63 @@ __all__ = ["ClosedForm"]
 Coefficient = Union[Polynomial, Fraction, int]
 
 
-def _as_poly(value: Coefficient) -> Polynomial:
+def _coeffs(value: Coefficient) -> "tuple[Fraction | int, ...]":
+    """Ascending coefficients of a polynomial or scalar coefficient."""
     if isinstance(value, Polynomial):
-        return value
+        return value.coeffs
     if isinstance(value, (int, Fraction)):
-        return Polynomial.constant(value)
+        return (value,)
     raise TypeError(f"expected a Polynomial or scalar, got {type(value).__name__}")
+
+
+class _Accumulator:
+    """Mutable map from compositions to coefficient lists, summed in place.
+
+    Scalars multiply coefficients directly; a polynomial factor is a
+    convolution into the row.  ``freeze`` builds the immutable result once.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self):
+        self._rows: "dict[tuple[int, ...], list]" = {}
+
+    def add(self, comp: "tuple[int, ...]", coeffs, c: Coefficient = 1) -> None:
+        """Add c times the polynomial with ascending ``coeffs`` to ``comp``."""
+        self._add(comp, coeffs, _coeffs(c))
+
+    def add_form(self, form: "ClosedForm", c: Coefficient = 1) -> None:
+        """Add c times every term of ``form``."""
+        factors = _coeffs(c)
+        for comp, poly in form._terms.items():
+            self._add(comp, poly.coeffs, factors)
+
+    def _add(self, comp, coeffs, factors) -> None:
+        row = self._rows.get(comp)
+        if row is None:
+            row = self._rows[comp] = []
+        size = len(coeffs) + len(factors) - 1
+        if len(row) < size:
+            row.extend([0] * (size - len(row)))
+        for j, b in enumerate(factors):
+            if b:
+                for i, a in enumerate(coeffs, j):
+                    if a:
+                        # a slot still at 0 takes the product without a
+                        # Fraction addition
+                        v = row[i]
+                        row[i] = v + a * b if v else a * b
+
+    def freeze(self) -> "ClosedForm":
+        """The sum so far, with trailing zeros trimmed and zero rows dropped."""
+        terms = {}
+        for comp, row in self._rows.items():
+            poly = Polynomial(row)
+            if poly:
+                terms[comp] = poly
+        out = ClosedForm.__new__(ClosedForm)
+        object.__setattr__(out, "_terms", terms)
+        return out
 
 
 class ClosedForm:
@@ -41,19 +99,15 @@ class ClosedForm:
 
     def __init__(self, terms: "Mapping | Iterable[tuple]" = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        data: "dict[tuple[int, ...], Polynomial]" = {}
+        acc = _Accumulator()
         for comp, coeff in items:
             comp = tuple(comp)
             if not is_proper(comp):
                 raise ValueError(
                     "closed-form terms must use proper compositions (entries >= 1)"
                 )
-            poly = data.get(comp, Polynomial.zero()) + _as_poly(coeff)
-            if poly:
-                data[comp] = poly
-            elif comp in data:
-                del data[comp]
-        object.__setattr__(self, "_terms", data)
+            acc.add(comp, _coeffs(coeff))
+        object.__setattr__(self, "_terms", acc.freeze()._terms)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ClosedForm is immutable")
@@ -67,7 +121,7 @@ class ClosedForm:
     @classmethod
     def from_combination(cls, comb: "Mapping") -> "ClosedForm":
         """Embed a constant-coefficient combination of compositions."""
-        return cls({tuple(k): _as_poly(c) for k, c in comb.items()})
+        return cls(comb)
 
     @property
     def terms(self) -> "tuple[tuple[tuple[int, ...], Polynomial], ...]":
@@ -98,21 +152,13 @@ class ClosedForm:
     def __add__(self, other: "ClosedForm") -> "ClosedForm":
         if not isinstance(other, ClosedForm):
             return NotImplemented
-        data = dict(self._terms)
-        for comp, poly in other._terms.items():
-            v = data.get(comp, Polynomial.zero()) + poly
-            if v:
-                data[comp] = v
-            elif comp in data:
-                del data[comp]
-        out = ClosedForm()
-        object.__setattr__(out, "_terms", data)
-        return out
+        acc = _Accumulator()
+        acc.add_form(self)
+        acc.add_form(other)
+        return acc.freeze()
 
     def __neg__(self) -> "ClosedForm":
-        out = ClosedForm()
-        object.__setattr__(out, "_terms", {k: -p for k, p in self._terms.items()})
-        return out
+        return self.scale(-1)
 
     def __sub__(self, other: "ClosedForm") -> "ClosedForm":
         if not isinstance(other, ClosedForm):
@@ -121,14 +167,9 @@ class ClosedForm:
 
     def scale(self, factor: Coefficient) -> "ClosedForm":
         """Multiply every coefficient by a polynomial or scalar."""
-        f = _as_poly(factor)
-        data = {}
-        if f:
-            for comp, poly in self._terms.items():
-                data[comp] = poly * f
-        out = ClosedForm()
-        object.__setattr__(out, "_terms", data)
-        return out
+        acc = _Accumulator()
+        acc.add_form(self, factor)
+        return acc.freeze()
 
     # ------------------------------------------------------------ evaluation
 

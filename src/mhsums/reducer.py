@@ -35,7 +35,8 @@ listing every j-tuple; the cost is polynomial in p and the depth.
 ``faulhaber`` builds its factors on its own, and the recurrence behind
 ``reduce`` reads them from Faulhaber's polynomial; neither uses the chain
 helper, so that the two reduction routes stay independent checks of each
-other.
+other.  Both routes sum their terms in the closed-form accumulator, which
+is only linear algebra over ``Fraction`` and holds no reduction logic.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bernoulli import bernoulli, umbral_eval
-from .closedform import ClosedForm
+from .closedform import ClosedForm, _Accumulator
 from .oracle import is_proper
 from .polynomial import Polynomial
 
@@ -144,22 +145,23 @@ def _reduce(p: int, comp: "tuple[int, ...]") -> ClosedForm:
         return ClosedForm({(): faulhaber(p)})
     head, tail = comp[0], comp[1:]
     F = faulhaber(p)
-    out = ClosedForm({comp: F})
+    out = _Accumulator()
+    out.add(comp, F.coeffs)
     for j in range(p + 1):
         c = F.coeffs[p + 1 - j]  # C(p+1, j) * B_j / (p+1)
         if not c:
             continue
         first = head + j - p - 1
         if first >= 1:
-            out = out - ClosedForm({(first,) + tail: c})
+            out.add((first,) + tail, (-c,))
         else:
-            out = out - _reduce(-first, tail).scale(c)
-    return out
+            out.add_form(_reduce(-first, tail), -c)
+    return out.freeze()
 
 
 def reduce_direct(p: int, comp: "tuple[int, ...]") -> ClosedForm:
     """Same closed form as ``reduce`` from the single-pass three-block
-    formula; no recursion and no shared code path with ``reduce``."""
+    formula; no recursion and no reduction logic shared with ``reduce``."""
     _check_power(p)
     comp = tuple(comp)
     if not comp:
@@ -173,7 +175,7 @@ def reduce_direct(p: int, comp: "tuple[int, ...]") -> ClosedForm:
         kw[i] = kw[i - 1] + comp[i - 1]
     kw[r + 1] = kw[r] + 1  # the final, absorbed entry counts as 1
 
-    terms = []
+    out = _Accumulator()
     prefix = {0: Fraction(1)}  # chain states over j_1, ..., j_{l-1}
     for l in range(1, r + 2):
         sign = -1 if l % 2 else 1  # (-1)**l
@@ -183,8 +185,8 @@ def reduce_direct(p: int, comp: "tuple[int, ...]") -> ClosedForm:
         # l = r + 1 this is the final, pure polynomial block
         lead = [Fraction(0)] * (d + 1)
         for s, acc in states.items():
-            lead[d - s] = -sign * acc
-        terms.append((comp[l - 1 :], Polynomial(lead)))
+            lead[d - s] = acc
+        out.add(comp[l - 1 :], lead, -sign)
         # a partial sum past the next step's budget drops the first entry
         # below k_l (middle block); the others carry on as the next prefix
         budget = p + l - kw[l]
@@ -193,5 +195,5 @@ def reduce_direct(p: int, comp: "tuple[int, ...]") -> ClosedForm:
             if s <= budget:
                 prefix[s] = acc
             else:
-                terms.append(((kw[l] + s - l - p,) + comp[l:], sign * acc))
-    return ClosedForm(terms)
+                out.add((kw[l] + s - l - p,) + comp[l:], (acc,), sign)
+    return out.freeze()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import bernoulli, umbral_eval
-from .closedform import ClosedForm
+from .closedform import ClosedForm, _Accumulator
 from .polynomial import Polynomial, discrete_sum
 from .reducer import c_poly, d_umbral, faulhaber, reduce
 from .stuffle import expand_power, product_combinations
@@ -48,14 +48,14 @@ def _check_weight(F: Polynomial) -> None:
 def _combination_closed(comb, p_weights) -> ClosedForm:
     """sum_{m=1..n} F(m) * (combination of H_{m-1} sums), with F given by its
     monomial coefficients."""
-    out = ClosedForm.zero()
+    out = _Accumulator()
     for comp, c in comb.items():
         if not c:
             continue
         for p, a in p_weights:
             if a:
-                out = out + reduce(p, comp).scale(a * c)
-    return out
+                out.add_form(reduce(p, comp), a * c)
+    return out.freeze()
 
 
 def sum_power(F: Polynomial, t: int) -> ClosedForm:
@@ -72,8 +72,10 @@ def sum_power_shifted(F: Polynomial, t: int) -> ClosedForm:
     _check_weight(F)
     if not isinstance(t, int) or t < 0:
         raise ValueError("the power must be a nonnegative integer")
-    boundary = ClosedForm.from_combination(expand_power(1, t)).scale(F)
-    return boundary + sum_power(F.shift(-1), t)
+    out = _Accumulator()
+    out.add_form(ClosedForm.from_combination(expand_power(1, t)), F)
+    out.add_form(sum_power(F.shift(-1), t))
+    return out.freeze()
 
 
 def sum_product(F: Polynomial, factors: "list[tuple[int, int]]") -> ClosedForm:
@@ -269,12 +271,13 @@ def structured_to_closed(form: StructuredForm) -> ClosedForm:
     lead = expand_power(1, form.power)
     for order in form.extra_orders:
         lead = product_combinations(lead, {(order,): Fraction(1)})
-    out = ClosedForm.from_combination(lead).scale(form.leading)
+    out = _Accumulator()
+    out.add_form(ClosedForm.from_combination(lead), form.leading)
     for i, qi in enumerate(form.q):
         if qi:
-            out = out + ClosedForm.from_combination(expand_power(1, i)).scale(qi)
-    extras = {(2,): form.c2, (2, 1): form.c21, (3,): form.c3}
-    return out + ClosedForm(extras)
+            out.add_form(ClosedForm.from_combination(expand_power(1, i)), qi)
+    out.add_form(ClosedForm({(2,): form.c2, (2, 1): form.c21, (3,): form.c3}))
+    return out.freeze()
 
 
 # ------------------------------------------------------------------- checks
@@ -294,8 +297,10 @@ def structure_check(F: Polynomial, t: int) -> StructureReport:
     _check_weight(F)
     if not isinstance(t, int) or t < 0:
         raise ValueError("the power must be a nonnegative integer")
-    leading = ClosedForm.from_combination(expand_power(1, t)).scale(discrete_sum(F))
-    remainder = sum_power(F, t) - leading
+    out = _Accumulator()
+    out.add_form(sum_power(F, t))
+    out.add_form(ClosedForm.from_combination(expand_power(1, t)), -discrete_sum(F))
+    remainder = out.freeze()
     degree_bound = F.degree + 1
     offending = tuple(
         (comp, poly)

@@ -64,6 +64,11 @@ def _comp_str(comp: "tuple[int, ...]") -> str:
     return "(" + ",".join(str(k) for k in comp) + ")"
 
 
+def differing_terms(a: ClosedForm, b: ClosedForm) -> str:
+    """The compositions whose coefficients differ between a and b."""
+    return ", ".join(_comp_str(comp) for comp, _ in (a - b).terms)
+
+
 def _range(max_n: int) -> "range":
     # max_n = 0 means "check nothing": an explicitly empty evaluation range
     return range(0, max_n + 1) if max_n > 0 else range(0)
@@ -112,8 +117,8 @@ def reduce_suite_checks(max_n: int):
                 agree = all(a.eval(n) == b.eval(n) for n in range(51))
                 return False, (
                     "structural mismatch between methods; "
-                    f"evaluations for n <= 50 {'agree' if agree else 'differ'}; "
-                    f"recurrence: {a.render('text')}; direct: {b.render('text')}"
+                    f"compositions whose coefficients differ: {differing_terms(a, b)}; "
+                    f"evaluations for n <= 50 {'agree' if agree else 'differ'}"
                 )
 
             checks.append((f"reduce p={p} comp={_comp_str(comp)} methods-agree", check))

@@ -1,13 +1,24 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mhsums.cli import MAX_NESTING, PolyParseError, main, parse_poly
+from mhsums import cli, verify
+from mhsums.cli import (
+    MAX_DEGREE,
+    MAX_NESTING,
+    MAX_POWER,
+    PolyParseError,
+    main,
+    parse_poly,
+)
+from mhsums.closedform import ClosedForm
+from mhsums.oracle import mhs_eval
 from mhsums.polynomial import Polynomial
 
 x = Polynomial.variable()
@@ -107,6 +118,25 @@ def test_nesting_limit():
     assert info.value.offset == MAX_NESTING
 
 
+def test_degree_limit():
+    assert parse_poly(f"m^{MAX_DEGREE}") == x ** MAX_DEGREE
+    assert parse_poly("(m^10)^10 * 3^100") == 3 ** 100 * x ** 100
+    assert parse_poly("m^50*m^50").degree == MAX_DEGREE
+    # offsets: the exponent literal, or the factor that pushes the degree over
+    for text, offset in (
+        (f"m^{MAX_DEGREE + 1}", 2),
+        ("m^100000", 2),
+        ("2^100000", 2),
+        ("(m^50)^50", 7),
+        ("m^60*m^60", 5),
+        ("1 + m^50*(m^25*m^26)", 9),
+    ):
+        with pytest.raises(PolyParseError) as info:
+            parse_poly(text)
+        assert "above the limit" in str(info.value)
+        assert info.value.offset == offset
+
+
 @given(st.lists(frac9, max_size=5).map(Polynomial))
 def test_round_trip_through_text(p):
     assert parse_poly(p.text("m")) == p
@@ -134,6 +164,29 @@ def test_reduce_methods_agree(capsys):
     )
     assert code == 0
     assert "H(2,1)" in out
+
+
+def test_methods_mismatch_names_differing_terms(capsys, monkeypatch):
+    def perturbed(reduce_direct):
+        return lambda p, comp: reduce_direct(p, comp) + ClosedForm({(2, 1): x})
+
+    monkeypatch.setattr(cli, "reduce_direct", perturbed(cli.reduce_direct))
+    code, out, _ = run_cli(
+        ["reduce", "-p", "2", "--comp", "2,1", "--method", "both"], capsys
+    )
+    assert code == 1
+    assert out.splitlines() == [
+        "structural mismatch between reduction methods",
+        "compositions whose coefficients differ: (2,1)",
+        "evaluations for n <= 50 differ",
+    ]
+
+    monkeypatch.setattr(verify, "reduce_direct", perturbed(verify.reduce_direct))
+    checks = dict(verify.reduce_suite_checks(3))
+    ok, detail = checks["reduce p=2 comp=(2,1) methods-agree"]()
+    assert not ok
+    assert "compositions whose coefficients differ: (2,1);" in detail
+    assert detail.endswith("evaluations for n <= 50 differ")
 
 
 def test_reduce_json_is_valid(capsys):
@@ -191,6 +244,29 @@ def test_sum_deep_nesting_exit_code(capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sum", "--poly", "m^100000", "--power", "0"],
+        ["sum", "--poly", "(m^50)^50", "--power", "1"],
+        ["sum", "--poly", "m^60*m^60", "--power", "1"],
+        ["check", "--poly", "m^100000", "--power", "1"],
+        ["sum", "--poly", "m", "--power", str(MAX_POWER + 1)],
+        ["sum", "--poly", "m", "--power", "100000", "--shifted"],
+        ["check", "--poly", "m", "--power", str(MAX_POWER + 1)],
+        ["sum", "--poly", "m", "--factors", f"1^{MAX_POWER - 1},2^2"],
+    ],
+)
+def test_input_limits_exit_fast(argv, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_eval_formats(capsys):
     assert run_cli(["eval", "--n", "3", "--comp", "0,1"], capsys)[1].strip() == "5/2"
     code, out, _ = run_cli(
@@ -201,6 +277,23 @@ def test_eval_formats(capsys):
         ["eval", "--n", "4", "--comp", "2", "--format", "latex"], capsys
     )
     assert out.strip() == r"\frac{205}{144}"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit guard"
+)
+def test_eval_prints_past_the_digit_guard(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(["eval", "--n", "12000", "--comp", "1"], capsys)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(mhs_eval(12000, (1,)))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > limit
+    assert out == want + "\n"
 
 
 def test_check_reports_pass(capsys):

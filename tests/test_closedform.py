@@ -2,8 +2,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mhsums.closedform import ClosedForm
+from mhsums.closedform import ClosedForm, _Accumulator
 from mhsums.oracle import mhs_eval
 from mhsums.polynomial import Polynomial
 
@@ -63,7 +65,9 @@ def test_arithmetic():
 
 
 def test_scale_by_zero_empties():
-    assert SAMPLE.scale(0) == ClosedForm({})
+    for zero in (0, Fraction(0), Polynomial.zero()):
+        assert SAMPLE.scale(zero) == ClosedForm({})
+        assert SAMPLE.scale(zero).terms == ()
 
 
 def test_from_combination():
@@ -125,3 +129,75 @@ def test_json_round_trip():
     again = ClosedForm.from_json(SAMPLE.to_json())
     assert again == SAMPLE
     assert again.render("json") == SAMPLE.render("json")
+
+
+# ------------------------------------------------------------ accumulation
+
+
+def coefficient_map(form):
+    """{composition: ascending coefficient tuple} of a closed form."""
+    return {comp: poly.coeffs for comp, poly in form.terms}
+
+
+def reference_fold(pairs):
+    """sum of c * form over (form, c) pairs, in plain dict arithmetic, in
+    the shape of ``coefficient_map``; c is a scalar or a Polynomial."""
+    total = {}
+    for form, c in pairs:
+        factor = c.coeffs if isinstance(c, Polynomial) else (c,)
+        for comp, poly in form.terms:
+            row = total.setdefault(comp, {})
+            for i, a in enumerate(poly.coeffs):
+                for j, b in enumerate(factor):
+                    row[i + j] = row.get(i + j, 0) + a * b
+    out = {}
+    for comp, row in total.items():
+        coeffs = [Fraction(row.get(i, 0)) for i in range(max(row, default=-1) + 1)]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        if coeffs:
+            out[comp] = tuple(coeffs)
+    return out
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+polys = st.lists(small, max_size=4).map(Polynomial)
+forms = st.dictionaries(
+    st.lists(st.integers(1, 3), max_size=3).map(tuple), polys, max_size=4
+).map(ClosedForm)
+factors = st.one_of(st.integers(-3, 3), small, polys)
+
+
+@given(st.lists(st.tuples(forms, factors), max_size=5))
+def test_accumulation_matches_reference_fold(pairs):
+    want = reference_fold(pairs)
+    acc = _Accumulator()
+    for form, c in pairs:
+        acc.add_form(form, c)
+    assert coefficient_map(acc.freeze()) == want
+    folded = ClosedForm()
+    for form, c in pairs:
+        folded = folded + form.scale(c)
+    assert coefficient_map(folded) == want
+    assert coefficient_map(folded - folded) == {}
+
+
+def test_accumulator_drops_cancelled_rows_and_trims():
+    acc = _Accumulator()
+    acc.add((1,), (1, 2, 3))
+    acc.add((1,), (0, 0, 3), -1)
+    acc.add((2,), (5,))
+    acc.add((2,), (5,), Fraction(-1))
+    acc.add((3,), ())
+    assert coefficient_map(acc.freeze()) == {(1,): (1, 2)}
+    assert ClosedForm([((1,), x), ((1,), -x)]) == ClosedForm({})
+    assert coefficient_map(ClosedForm([((1,), x + 1), ((1,), -x)])) == {(1,): (1,)}
+
+
+def test_rejects_inexact_coefficients():
+    with pytest.raises(TypeError):
+        ClosedForm({(1,): 0.5})
+    with pytest.raises(TypeError):
+        SAMPLE.scale(0.5)
+    with pytest.raises(TypeError):
+        ClosedForm({}).scale("n")

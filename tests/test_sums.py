@@ -7,6 +7,7 @@ from mhsums.bernoulli import bernoulli, umbral_eval
 from mhsums.closedform import ClosedForm
 from mhsums.oracle import harmonic, mhs_eval
 from mhsums.polynomial import Polynomial, discrete_sum
+from mhsums.reducer import reduce
 from mhsums.stuffle import expand_power
 from mhsums.sums import (
     structure_check,
@@ -16,6 +17,7 @@ from mhsums.sums import (
     sum_power_shifted,
     sum_product,
 )
+from test_closedform import coefficient_map, reference_fold
 
 x = Polynomial.variable()
 one = Polynomial.constant(1)
@@ -43,11 +45,18 @@ def brute_product(F, factors, n):
 
 
 def test_sum_power_against_brute_force():
-    for F in FIXED_WEIGHTS:
+    for F in FIXED_WEIGHTS + (x ** 3 - 2 * x, x ** 4 - x ** 3 / 2 + 3):
         for t in range(5):
             cf = sum_power(F, t)
             for n in range(9):
                 assert cf.eval(n) == brute_power(F, t, n)
+            # the same combination folded in plain dict arithmetic
+            pairs = [
+                (reduce(p, comp), a * c)
+                for comp, c in expand_power(1, t).items()
+                for p, a in enumerate(F.coeffs)
+            ]
+            assert coefficient_map(cf) == reference_fold(pairs)
 
 
 def test_sum_power_shifted_against_brute_force():
