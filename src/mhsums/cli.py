@@ -13,12 +13,12 @@ import sys
 from fractions import Fraction
 
 from .bernoulli import bernoulli
-from .closedform import ClosedForm
+from .closedform import term_json_obj
 from .oracle import mhs_eval
 from .polynomial import Polynomial
 from .reducer import reduce, reduce_direct
 from .sums import structure_check, sum_power, sum_power_shifted, sum_product
-from .verify import SUITES, differing_terms, run_table, run_verify
+from .verify import SUITES, form_mismatch, run_table, run_verify
 
 __all__ = ["PolyParseError", "parse_poly", "main"]
 
@@ -76,8 +76,14 @@ MAX_NESTING = 100
 # inner power t cost (d + 1) * 2**(t - 1) reductions of power up to d, and the
 # work of each grows steeply with both; a polynomial power also costs one
 # product per unit of its exponent.
-MAX_DEGREE = 100  # degree of the weight, and any exponent in it
+MAX_DEGREE = 100  # degree of the weight, any exponent in it, -p, |--comp entry|
 MAX_POWER = 12  # --power, and the summed multiplicities of --factors
+# A constant's cost grows with its size; (9^100)^100 has 31,700 bits.
+MAX_CONSTANT_BITS = 40_000  # numerator or denominator of a literal, power or product
+# The direct evaluator builds a table of n exact values per suffix of the
+# composition, and the Bernoulli table costs m exact terms for its m-th entry.
+MAX_EVAL_N = 20_000  # eval --n
+MAX_BERNOULLI = 1_000  # bernoulli --max
 
 
 class _Parser:
@@ -85,7 +91,8 @@ class _Parser:
     in one variable (``m`` or ``n``), with ``+ - * / ^`` and parentheses.
     Division is only by nonzero constants; exponents are integer literals;
     parentheses nest at most ``MAX_NESTING`` deep; exponents and every
-    product's degree are at most ``MAX_DEGREE``."""
+    product's degree are at most ``MAX_DEGREE``, and no literal, power or
+    product has a coefficient above ``MAX_CONSTANT_BITS`` bits."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -130,6 +137,7 @@ class _Parser:
                 rhs = self.factor()
                 if acc.degree + rhs.degree > MAX_DEGREE:
                     raise PolyParseError(f"degree above the limit {MAX_DEGREE}", off2)
+                _check_bits(_bits(acc) + _bits(rhs), off2)
                 acc = acc * rhs
             elif kind == "/":
                 self.advance()
@@ -140,6 +148,7 @@ class _Parser:
                 c = divisor.coefficient(0)
                 if c == 0:
                     raise PolyParseError("division by zero", off2)
+                _check_bits(_bits(acc) + _bits(divisor), off2)
                 acc = acc * (Fraction(1) / c)
             else:
                 return acc
@@ -174,12 +183,15 @@ class _Parser:
             raise PolyParseError(
                 f"exponent or degree above the limit {MAX_DEGREE}", off
             )
+        _check_bits(_bits(base) * exponent, off)
         return base ** exponent
 
     def atom(self) -> Polynomial:
         kind, value, off = self.advance()
         if kind == "num":
-            return Polynomial.constant(int(value))
+            c = int(value)
+            _check_bits(c.bit_length(), off)
+            return Polynomial.constant(c)
         if kind == "name":
             if value in ("m", "n"):
                 return Polynomial.variable()
@@ -197,6 +209,19 @@ class _Parser:
         raise PolyParseError(f"unexpected token {value or kind!r}", off)
 
 
+def _bits(poly: Polynomial) -> int:
+    """Bit length of the largest numerator or denominator in ``poly``."""
+    sizes = (max(abs(c.numerator), c.denominator) for c in poly.coeffs)
+    return max(sizes, default=0).bit_length()
+
+
+def _check_bits(bits: int, offset: int) -> None:
+    if bits > MAX_CONSTANT_BITS:
+        raise PolyParseError(
+            f"constant above the limit of {MAX_CONSTANT_BITS} bits", offset
+        )
+
+
 def parse_poly(text: str) -> Polynomial:
     """Parse polynomial text such as ``3*m^2 - 5*m + 2`` or ``(m-1)^2``."""
     parser = _Parser(text)
@@ -212,9 +237,12 @@ def _parse_comp(text: str) -> "tuple[int, ...]":
     if not text:
         return ()
     try:
-        return tuple(int(part) for part in text.split(","))
+        comp = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed composition {text!r}: {exc}") from exc
+    if any(abs(k) > MAX_DEGREE for k in comp):
+        raise ValueError(f"--comp entries must be at most {MAX_DEGREE} in magnitude")
+    return comp
 
 
 def _parse_factors(text: str) -> "list[tuple[int, int]]":
@@ -319,10 +347,16 @@ def build_parser() -> argparse.ArgumentParser:
 # ------------------------------------------------------------------ actions
 
 
+def _check_flag(flag: str, value: int, limit: int) -> None:
+    """Bounds of a size flag; ``main`` reports the ValueError with exit code 2."""
+    if value < 0:
+        raise ValueError(f"{flag} must be nonnegative")
+    if value > limit:
+        raise ValueError(f"{flag} must be at most {limit}")
+
+
 def _cmd_reduce(args) -> int:
-    if args.power < 0:
-        print("error: -p must be nonnegative", file=sys.stderr)
-        return 2
+    _check_flag("-p", args.power, MAX_DEGREE)
     comp = _parse_comp(args.comp)
     if args.method in ("theorem", "both") and not comp:
         print("error: --method theorem needs a nonempty composition", file=sys.stderr)
@@ -333,30 +367,18 @@ def _cmd_reduce(args) -> int:
         else reduce_direct(args.power, comp)
     )
     if args.method == "both":
-        other = reduce_direct(args.power, comp)
-        if other != primary:
-            agree = all(primary.eval(n) == other.eval(n) for n in range(51))
-            print("structural mismatch between reduction methods")
-            differ = differing_terms(primary, other)
-            print(f"compositions whose coefficients differ: {differ}")
-            print(f"evaluations for n <= 50 {'agree' if agree else 'differ'}")
+        mismatch = form_mismatch(primary, reduce_direct(args.power, comp))
+        if mismatch:
+            print("structural mismatch between reduction methods", *mismatch, sep="\n")
             return 1
     print(primary.render(args.format))
     return 0
 
 
-def _check_power_flag(t: int) -> None:
-    """Bounds of --power; ``main`` reports the ValueError with exit code 2."""
-    if t < 0:
-        raise ValueError("--power must be nonnegative")
-    if t > MAX_POWER:
-        raise ValueError(f"--power must be at most {MAX_POWER}")
-
-
 def _cmd_sum(args) -> int:
     F = parse_poly(args.poly)
     if args.power is not None:
-        _check_power_flag(args.power)
+        _check_flag("--power", args.power, MAX_POWER)
         closed = (
             sum_power_shifted(F, args.power)
             if args.shifted
@@ -377,35 +399,25 @@ def _cmd_sum(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.n < 0:
-        print("error: --n must be nonnegative", file=sys.stderr)
-        return 2
+    _check_flag("--n", args.n, MAX_EVAL_N)
     value = mhs_eval(args.n, _parse_comp(args.comp))
     print(_emit_fraction(value, args.format))
     return 0
 
 
 def _cmd_check(args) -> int:
-    _check_power_flag(args.power)
+    _check_flag("--power", args.power, MAX_POWER)
     report = structure_check(parse_poly(args.poly), args.power)
     payload = {
         "passes": report.passes,
-        "offending_terms": [
-            {
-                "composition": list(comp),
-                "coeff": [[c.numerator, c.denominator] for c in poly.coeffs],
-            }
-            for comp, poly in report.offending_terms
-        ],
+        "offending_terms": [term_json_obj(c, p) for c, p in report.offending_terms],
     }
     print(json.dumps(payload))
     return 0 if report.passes else 1
 
 
 def _cmd_bernoulli(args) -> int:
-    if args.max < 0:
-        print("error: --max must be nonnegative", file=sys.stderr)
-        return 2
+    _check_flag("--max", args.max, MAX_BERNOULLI)
     print("index,numerator,denominator")
     for i in range(args.max + 1):
         b = bernoulli(i, args.convention)

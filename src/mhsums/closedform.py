@@ -28,7 +28,7 @@ from .oracle import is_proper, mhs_eval
 from .polynomial import Polynomial, join_signed
 from .stuffle import composition_key
 
-__all__ = ["ClosedForm"]
+__all__ = ["ClosedForm", "term_json_obj"]
 
 Coefficient = Union[Polynomial, Fraction, int]
 
@@ -195,15 +195,7 @@ class ClosedForm:
     # ---------------------------------------------------------------- JSON
 
     def to_json_obj(self) -> dict:
-        return {
-            "terms": [
-                {
-                    "composition": list(comp),
-                    "coeff": [[c.numerator, c.denominator] for c in poly.coeffs],
-                }
-                for comp, poly in self.terms
-            ]
-        }
+        return {"terms": [term_json_obj(comp, poly) for comp, poly in self.terms]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
@@ -220,6 +212,15 @@ class ClosedForm:
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed closed-form JSON: {exc}") from exc
         return cls(terms)
+
+
+def term_json_obj(comp: "tuple[int, ...]", poly: Polynomial) -> dict:
+    """One term as JSON: its composition and [numerator, denominator] pairs
+    for the coefficients in ascending powers of n."""
+    return {
+        "composition": list(comp),
+        "coeff": [[c.numerator, c.denominator] for c in poly.coeffs],
+    }
 
 
 def _sign_split(poly: Polynomial) -> "tuple[str, Polynomial, bool]":

@@ -25,7 +25,7 @@ from .sums import (
     sum_product,
 )
 
-__all__ = ["compositions_up_to", "run_verify", "run_table", "SUITES"]
+__all__ = ["compositions_up_to", "form_mismatch", "run_verify", "run_table", "SUITES"]
 
 SUITES = ("reduce", "sums", "all")
 
@@ -64,22 +64,32 @@ def _comp_str(comp: "tuple[int, ...]") -> str:
     return "(" + ",".join(str(k) for k in comp) + ")"
 
 
-def differing_terms(a: ClosedForm, b: ClosedForm) -> str:
-    """The compositions whose coefficients differ between a and b."""
-    return ", ".join(_comp_str(comp) for comp, _ in (a - b).terms)
+def form_mismatch(a: ClosedForm, b: ClosedForm) -> "tuple[str, str] | None":
+    """None when a and b are equal; otherwise two report lines: the
+    compositions whose coefficients differ (from a - b), and whether the
+    evaluations for n <= 50 agree."""
+    if a == b:
+        return None
+    differ = ", ".join(_comp_str(comp) for comp, _ in (a - b).terms)
+    agree = all(a.eval(n) == b.eval(n) for n in range(51))
+    return (
+        f"compositions whose coefficients differ: {differ}",
+        f"evaluations for n <= 50 {'agree' if agree else 'differ'}",
+    )
 
 
-def _range(max_n: int) -> "range":
-    # max_n = 0 means "check nothing": an explicitly empty evaluation range
-    return range(0, max_n + 1) if max_n > 0 else range(0)
+def _forms_agree(what: str, a: ClosedForm, b: ClosedForm):
+    mismatch = form_mismatch(a, b)
+    return (True, "") if mismatch is None else (False, "; ".join((what, *mismatch)))
 
 
-def _closed_matches_oracle(closed: ClosedForm, extended, max_n: int):
-    for n in _range(max_n):
-        want = mhs_eval(n, extended)
+def _matches_direct(closed: ClosedForm, direct, max_n: int):
+    """Compare closed.eval(n) with direct[n] for n = 0..max_n; max_n = 0
+    means "check nothing", an explicitly empty evaluation range."""
+    for n in range(max_n + 1) if max_n > 0 else ():
         got = closed.eval(n)
-        if want != got:
-            return False, f"n={n}: closed {got} != direct {want}"
+        if got != direct[n]:
+            return False, f"n={n}: closed {got} != direct {direct[n]}"
     return True, ""
 
 
@@ -99,26 +109,20 @@ def reduce_suite_checks(max_n: int):
     comps = compositions_up_to(5, 3)
     for p in range(7):
         for comp in comps:
-            extended = (-p,) + comp
 
-            def check(p=p, comp=comp, extended=extended):
-                closed = reduce(p, comp)
-                return _closed_matches_oracle(closed, extended, max_n)
+            def check(p=p, comp=comp):
+                direct = mhs_values(max_n, (-p,) + comp)
+                return _matches_direct(reduce(p, comp), direct, max_n)
 
             checks.append((f"reduce p={p} comp={_comp_str(comp)} oracle", check))
     for p in range(5):
         for comp in compositions_up_to(4, include_empty=False):
 
             def check(p=p, comp=comp):
-                a = reduce(p, comp)
-                b = reduce_direct(p, comp)
-                if a == b:
-                    return True, ""
-                agree = all(a.eval(n) == b.eval(n) for n in range(51))
-                return False, (
-                    "structural mismatch between methods; "
-                    f"compositions whose coefficients differ: {differing_terms(a, b)}; "
-                    f"evaluations for n <= 50 {'agree' if agree else 'differ'}"
+                return _forms_agree(
+                    "structural mismatch between methods",
+                    reduce(p, comp),
+                    reduce_direct(p, comp),
                 )
 
             checks.append((f"reduce p={p} comp={_comp_str(comp)} methods-agree", check))
@@ -130,22 +134,13 @@ def sums_suite_checks(max_n: int):
     h1 = mhs_values(max_n, (1,))
 
     def power_oracle(F, t, shifted):
-        def check(F=F, t=t, shifted=shifted):
-            if shifted:
-                closed = sum_power_shifted(F, t)
-                direct = _direct_weighted_sum(
-                    F, lambda n: h1[n] ** t, max_n, start=0
-                )
-            else:
-                closed = sum_power(F, t)
-                direct = _direct_weighted_sum(
-                    F, lambda n: h1[n - 1] ** t, max_n, start=1
-                )
-            for n in _range(max_n):
-                got = closed.eval(n)
-                if got != direct[n]:
-                    return False, f"n={n}: closed {got} != direct {direct[n]}"
-            return True, ""
+        # shifted: sum_{m=0..n} F(m) H_m^t; else sum_{m=1..n} F(m) H_{m-1}^t
+        start = 0 if shifted else 1
+
+        def check():
+            closed = (sum_power_shifted if shifted else sum_power)(F, t)
+            direct = _direct_weighted_sum(F, lambda n: h1[n - start] ** t, max_n, start)
+            return _matches_direct(closed, direct, max_n)
 
         return check
 
@@ -158,46 +153,38 @@ def sums_suite_checks(max_n: int):
                 (f"sum-power-shifted F#{i} t={t} oracle", power_oracle(F, t, True))
             )
 
-    def product_oracle(F, i):
-        def check(F=F):
+    def product_oracle(F):
+        def check():
             closed = sum_product(F, [(1, 1), (2, 1)])
             h2 = mhs_values(max_n, (2,))
             direct = _direct_weighted_sum(
                 F, lambda n: h1[n - 1] * h2[n - 1], max_n, start=1
             )
-            for n in _range(max_n):
-                got = closed.eval(n)
-                if got != direct[n]:
-                    return False, f"n={n}: closed {got} != direct {direct[n]}"
-            return True, ""
+            return _matches_direct(closed, direct, max_n)
 
         return check
 
     for i, F in enumerate(_FIXED_WEIGHTS[:2]):
-        checks.append((f"sum-product F#{i} H*H(2) oracle", product_oracle(F, i)))
+        checks.append((f"sum-product F#{i} H*H(2) oracle", product_oracle(F)))
 
     def product_consistency():
-        a = sum_product(Polynomial.constant(1), [(1, 2)])
-        b = sum_power(Polynomial.constant(1), 2)
-        return (a == b, "" if a == b else "H**2 routes disagree")
+        one = Polynomial.constant(1)
+        return _forms_agree(
+            "H**2 routes disagree", sum_product(one, [(1, 2)]), sum_power(one, 2)
+        )
 
-    checks.append(("sum-product H^2 route consistency", lambda: product_consistency()))
+    checks.append(("sum-product H^2 route consistency", product_consistency))
 
-    def structured_check(kind, arg, label_arg):
-        def check(kind=kind, arg=arg):
-            if kind == "hn2":
-                flat = sum_power(_monomial(arg), 2)
-            elif kind == "hn3":
-                flat = sum_power(_monomial(arg), 3)
-            elif kind == "mixed":
-                flat = sum_product(_monomial(arg), [(1, 1), (2, 1)])
-            else:
-                flat = sum_power(arg, 4)
-            grouped = structured_to_closed(structured_form(kind, arg))
-            if grouped == flat:
-                return True, ""
-            return False, (
-                f"grouped: {grouped.render('text')}; flat: {flat.render('text')}"
+    def structured_check(kind, arg):
+        def check():
+            form = structured_form(kind, arg)
+            F = arg if kind == "hn4" else Polynomial.monomial(arg)
+            # for a pure power this is sum_power's form: both fold one combination
+            factors = [(1, form.power), *((k, 1) for k in form.extra_orders)]
+            return _forms_agree(
+                "grouped and flat forms differ",
+                structured_to_closed(form),
+                sum_product(F, factors),
             )
 
         return check
@@ -205,11 +192,11 @@ def sums_suite_checks(max_n: int):
     for kind in ("hn2", "hn3", "mixed"):
         for p in range(5):
             checks.append(
-                (f"structured {kind} p={p} matches flat", structured_check(kind, p, p))
+                (f"structured {kind} p={p} matches flat", structured_check(kind, p))
             )
     for i, F in enumerate(_FIXED_WEIGHTS):
         checks.append(
-            (f"structured hn4 F#{i} matches flat", structured_check("hn4", F, i))
+            (f"structured hn4 F#{i} matches flat", structured_check("hn4", F))
         )
 
     rng = random.Random(20240917)
@@ -228,10 +215,6 @@ def sums_suite_checks(max_n: int):
         checks.append((f"structure-check case {case} F={F.text('m')!r} t={t}", check))
 
     return checks
-
-
-def _monomial(p: int) -> Polynomial:
-    return Polynomial.monomial(p)
 
 
 def run_verify(suite: str, max_n: int, echo=print) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 
 from mhsums import cli, verify
 from mhsums.cli import (
+    MAX_BERNOULLI,
+    MAX_CONSTANT_BITS,
     MAX_DEGREE,
+    MAX_EVAL_N,
     MAX_NESTING,
     MAX_POWER,
     PolyParseError,
@@ -20,6 +24,8 @@ from mhsums.cli import (
 from mhsums.closedform import ClosedForm
 from mhsums.oracle import mhs_eval
 from mhsums.polynomial import Polynomial
+from mhsums.reducer import reduce
+from mhsums.sums import StructureReport
 
 x = Polynomial.variable()
 
@@ -137,6 +143,40 @@ def test_degree_limit():
         assert info.value.offset == offset
 
 
+@pytest.fixture
+def no_digit_guard():
+    """Lift the int-to-str digit guard, so a test can write big literals."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_constant_limit(no_digit_guard):
+    big = "(9^100)^100"  # 31,700 bits
+    assert parse_poly(big) == Polynomial.constant(9 ** 10000)
+    largest = 2 ** MAX_CONSTANT_BITS - 1
+    assert parse_poly(str(largest)) == Polynomial.constant(largest)
+    # the bit lengths of a product's factors add up: m's coefficient has one
+    assert parse_poly(f"{2 ** (MAX_CONSTANT_BITS - 1) - 1}*m").degree == 1
+    # offsets: the literal, the exponent, or the factor that pushes a
+    # numerator or denominator over
+    for text, offset in (
+        (str(largest + 1), 0),
+        (f"{largest}*m", len(str(largest)) + 1),
+        (f"({big})^100", 14),
+        (f"{big}*{big}", 12),
+        (f"m/({big})/({big})", 16),
+        ("m^2*((9^100)^50)^3", 17),
+    ):
+        with pytest.raises(PolyParseError) as info:
+            parse_poly(text)
+        assert "above the limit" in str(info.value)
+        assert info.value.offset == offset
+
+
 @given(st.lists(frac9, max_size=5).map(Polynomial))
 def test_round_trip_through_text(p):
     assert parse_poly(p.text("m")) == p
@@ -187,6 +227,43 @@ def test_methods_mismatch_names_differing_terms(capsys, monkeypatch):
     assert not ok
     assert "compositions whose coefficients differ: (2,1);" in detail
     assert detail.endswith("evaluations for n <= 50 differ")
+
+
+def test_route_and_structured_mismatches_name_differing_terms(monkeypatch):
+    # perturb the sum_product route that both checks compare against
+    def perturbed(F, factors):
+        return sum_product(F, factors) + ClosedForm({(3,): 1})
+
+    sum_product = verify.sum_product
+    monkeypatch.setattr(verify, "sum_product", perturbed)
+    checks = dict(verify.sums_suite_checks(3))
+    for label in (
+        "sum-product H^2 route consistency",
+        "structured hn2 p=1 matches flat",
+        "structured mixed p=2 matches flat",
+        "structured hn4 F#3 matches flat",
+    ):
+        ok, detail = checks[label]()
+        assert not ok, label
+        assert "; compositions whose coefficients differ: (3); " in detail, label
+        assert detail.endswith("evaluations for n <= 50 differ"), label
+
+
+def test_oracle_mismatches_name_the_first_n(monkeypatch):
+    # each closed route gains n, which first shows at n = 1
+    for name in ("reduce", "sum_power", "sum_power_shifted", "sum_product"):
+        route = getattr(verify, name)
+        monkeypatch.setattr(
+            verify, name, lambda *a, route=route: route(*a) + ClosedForm({(): x})
+        )
+    checks = dict(verify.reduce_suite_checks(4) + verify.sums_suite_checks(4))
+    for label, want in (
+        ("reduce p=1 comp=(1) oracle", Fraction(0)),
+        ("sum-power F#1 t=2 oracle", Fraction(0)),
+        ("sum-power-shifted F#1 t=2 oracle", Fraction(1)),
+        ("sum-product F#0 H*H(2) oracle", Fraction(0)),
+    ):
+        assert checks[label]() == (False, f"n=1: closed {want + 1} != direct {want}")
 
 
 def test_reduce_json_is_valid(capsys):
@@ -255,6 +332,18 @@ def test_sum_deep_nesting_exit_code(capsys):
         ["sum", "--poly", "m", "--power", "100000", "--shifted"],
         ["check", "--poly", "m", "--power", str(MAX_POWER + 1)],
         ["sum", "--poly", "m", "--factors", f"1^{MAX_POWER - 1},2^2"],
+        ["sum", "--poly", "((9^100)^100)^100", "--power", "0"],
+        ["sum", "--poly", "(9^100)^100*(9^100)^100", "--power", "0"],
+        ["check", "--poly", "9" * 12100, "--power", "0"],  # 40,196 bits
+        ["reduce", "-p", "100000", "--comp", "1"],
+        ["reduce", "-p", str(MAX_DEGREE + 1)],
+        ["reduce", "-p", "1", "--comp", f"1,{MAX_DEGREE + 1}"],
+        ["eval", "--n", "50", "--comp", "5000000"],
+        ["eval", "--n", "50", f"--comp=-{MAX_DEGREE + 1},1"],
+        ["eval", "--n", "100000000", "--comp", "1"],
+        ["eval", "--n", str(MAX_EVAL_N + 1)],
+        ["bernoulli", "--max", "200000"],
+        ["bernoulli", "--max", str(MAX_BERNOULLI + 1)],
     ],
 )
 def test_input_limits_exit_fast(argv, capsys):
@@ -265,6 +354,25 @@ def test_input_limits_exit_fast(argv, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+
+
+def test_largest_accepted_inputs(capsys, no_digit_guard):
+    code, out, err = run_cli(
+        ["reduce", "-p", str(MAX_DEGREE), "--comp", str(MAX_DEGREE)], capsys
+    )
+    assert (code, err) == (0, "")
+    assert out == reduce(MAX_DEGREE, (MAX_DEGREE,)).render() + "\n"
+    for comp, want in (
+        (str(MAX_DEGREE), mhs_eval(5, (MAX_DEGREE,))),
+        (f"-{MAX_DEGREE},1", mhs_eval(5, (-MAX_DEGREE, 1))),
+    ):
+        code, out, err = run_cli(["eval", "--n", "5", f"--comp={comp}"], capsys)
+        assert (code, err, out) == (0, "", f"{want}\n")
+    largest = 2 ** MAX_CONSTANT_BITS - 1
+    code, out, err = run_cli(
+        ["sum", "--poly", str(largest), "--power", "0"], capsys
+    )
+    assert (code, err, out) == (0, "", f"{largest}*n\n")
 
 
 def test_eval_formats(capsys):
@@ -300,6 +408,19 @@ def test_check_reports_pass(capsys):
     code, out, _ = run_cli(["check", "--poly", "m^2", "--power", "3"], capsys)
     assert code == 0
     assert json.loads(out) == {"passes": True, "offending_terms": []}
+
+
+def test_check_json_for_offending_terms(capsys, monkeypatch):
+    terms = (((1, 2), Polynomial((Fraction(1, 2), -3))), ((), x))
+    report = StructureReport(passes=False, offending_terms=terms)
+    monkeypatch.setattr(cli, "structure_check", lambda F, t: report)
+    code, out, _ = run_cli(["check", "--poly", "m", "--power", "2"], capsys)
+    assert code == 1
+    assert out == (
+        '{"passes": false, "offending_terms": ['
+        '{"composition": [1, 2], "coeff": [[1, 2], [-3, 1]]}, '
+        '{"composition": [], "coeff": [[0, 1], [1, 1]]}]}\n'
+    )
 
 
 def test_bernoulli_csv(capsys):
@@ -348,6 +469,17 @@ def test_verify_small_run(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("identities verified")
+
+
+def test_verify_all_output_is_pinned(capsys):
+    # labels, order and verdicts of every check; the benchmark keys its
+    # digests by these labels
+    code, out, _ = run_cli(["verify", "--suite", "all", "--max-n", "25"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "350/350 identities verified"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c305d01129ee70308db518da96746a2548f8259b27477171fe627754bb0c2299"
+    )
 
 
 def test_deterministic_output(capsys):
