@@ -8,6 +8,7 @@ produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -15,7 +16,7 @@ from fractions import Fraction
 from .bernoulli import bernoulli
 from .closedform import term_json_obj
 from .oracle import mhs_eval
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _frac_latex
 from .reducer import reduce, reduce_direct
 from .sums import structure_check, sum_power, sum_power_shifted, sum_product
 from .verify import SUITES, form_mismatch, run_table, run_verify
@@ -80,10 +81,22 @@ MAX_DEGREE = 100  # degree of the weight, any exponent in it, -p, |--comp entry|
 MAX_POWER = 12  # --power, and the summed multiplicities of --factors
 # A constant's cost grows with its size; (9^100)^100 has 31,700 bits.
 MAX_CONSTANT_BITS = 40_000  # numerator or denominator of a literal, power or product
+# The reducer and the direct evaluator recurse once per --comp entry.
+MAX_DEPTH = 100  # entries of --comp
 # The direct evaluator builds a table of n exact values per suffix of the
 # composition, and the Bernoulli table costs m exact terms for its m-th entry.
 MAX_EVAL_N = 20_000  # eval --n
 MAX_BERNOULLI = 1_000  # bernoulli --max
+# The values of the table for a suffix of weight w grow to O(n * w) bits.
+# The table of the last entry adds a short term per step, so it costs about
+# n**2 * w; every other table adds two full-size fractions, whose gcds make a
+# step quadratic in the bits, about n**3 * w**2 per table.  Fitted to eval
+# timings, the estimate n**2 * w_last + n**3 * sum(w**2) / 5000 at this
+# limit takes at most about 4 s on a 2-vCPU VM.
+MAX_EVAL_COST = 400_000_000  # eval, see _eval_cost
+MAX_VERIFY_N = 200  # verify --max-n
+MAX_TABLE_WEIGHT = 12  # table --weight-max, which lists 2**w compositions
+MAX_TABLE_N = 10_000  # table --n; table --p-max is bounded by MAX_DEGREE
 
 
 class _Parser:
@@ -240,9 +253,18 @@ def _parse_comp(text: str) -> "tuple[int, ...]":
         comp = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed composition {text!r}: {exc}") from exc
+    if len(comp) > MAX_DEPTH:
+        raise ValueError(f"--comp must have at most {MAX_DEPTH} entries")
     if any(abs(k) > MAX_DEGREE for k in comp):
         raise ValueError(f"--comp entries must be at most {MAX_DEGREE} in magnitude")
     return comp
+
+
+def _eval_cost(n: int, comp: "tuple[int, ...]") -> int:
+    """Estimated cost of ``eval`` (see ``MAX_EVAL_COST``), from the weights
+    of the suffixes of ``comp``, the last entry first."""
+    last, *rest = list(itertools.accumulate(abs(k) for k in reversed(comp))) or [0]
+    return n**2 * last + n**3 * sum(w * w for w in rest) // 5_000
 
 
 def _parse_factors(text: str) -> "list[tuple[int, int]]":
@@ -266,11 +288,7 @@ def _emit_fraction(value: Fraction, fmt: str) -> str:
     if fmt == "text":
         return str(value)
     if fmt == "latex":
-        sign = "-" if value < 0 else ""
-        mag = -value if value < 0 else value
-        if mag.denominator == 1:
-            return f"{sign}{mag.numerator}"
-        return sign + r"\frac{%d}{%d}" % (mag.numerator, mag.denominator)
+        return ("-" if value < 0 else "") + _frac_latex(abs(value))
     return json.dumps({"value": [value.numerator, value.denominator]})
 
 
@@ -359,8 +377,7 @@ def _cmd_reduce(args) -> int:
     _check_flag("-p", args.power, MAX_DEGREE)
     comp = _parse_comp(args.comp)
     if args.method in ("theorem", "both") and not comp:
-        print("error: --method theorem needs a nonempty composition", file=sys.stderr)
-        return 2
+        raise ValueError("--method theorem needs a nonempty composition")
     primary = (
         reduce(args.power, comp)
         if args.method != "theorem"
@@ -386,8 +403,7 @@ def _cmd_sum(args) -> int:
         )
     else:
         if args.shifted:
-            print("error: --shifted requires --power", file=sys.stderr)
-            return 2
+            raise ValueError("--shifted requires --power")
         factors = _parse_factors(args.factors)
         if sum(mult for _, mult in factors) > MAX_POWER:
             raise ValueError(
@@ -400,7 +416,10 @@ def _cmd_sum(args) -> int:
 
 def _cmd_eval(args) -> int:
     _check_flag("--n", args.n, MAX_EVAL_N)
-    value = mhs_eval(args.n, _parse_comp(args.comp))
+    comp = _parse_comp(args.comp)
+    if _eval_cost(args.n, comp) > MAX_EVAL_COST:
+        raise ValueError(f"--n and --comp have an estimated cost above {MAX_EVAL_COST}")
+    value = mhs_eval(args.n, comp)
     print(_emit_fraction(value, args.format))
     return 0
 
@@ -426,14 +445,15 @@ def _cmd_bernoulli(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    _check_flag("--p-max", args.p_max, MAX_DEGREE)
+    _check_flag("--weight-max", args.weight_max, MAX_TABLE_WEIGHT)
+    _check_flag("--n", args.n, MAX_TABLE_N)
     print(run_table(args.p_max, args.weight_max, args.n), end="")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.max_n < 0:
-        print("error: --max-n must be nonnegative", file=sys.stderr)
-        return 2
+    _check_flag("--max-n", args.max_n, MAX_VERIFY_N)
     return run_verify(args.suite, args.max_n)
 
 

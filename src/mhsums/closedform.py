@@ -8,10 +8,10 @@ the direct evaluator (``mhsums.oracle``) serves as the semantic backstop in
 the tests.
 
 Every form is built in one private accumulator, ``_Accumulator``: a mutable
-map from compositions to lists of ``Fraction`` coefficients that sums scaled
-terms in place and is frozen once, building each coefficient ``Polynomial``
-and the ``ClosedForm`` a single time.  The constructor, ``+``, ``-``,
-``scale`` and the reducer and sums modules all go through it; the
+map from compositions to coefficient lists that sums scaled terms in place
+with the polynomial kernel and is frozen once, building each coefficient
+``Polynomial`` and the ``ClosedForm`` a single time.  The constructor, ``+``,
+``-``, ``scale`` and the reducer and sums modules all go through it; the
 ``ClosedForm`` they return stays immutable.
 
 Terms render and serialize in one canonical order (weight, then depth, then
@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .oracle import is_proper, mhs_eval
-from .polynomial import Polynomial, join_signed
+from .polynomial import Polynomial, _coefficients, _muladd, join_signed
 from .stuffle import composition_key
 
 __all__ = ["ClosedForm", "term_json_obj"]
@@ -35,18 +35,16 @@ Coefficient = Union[Polynomial, Fraction, int]
 
 def _coeffs(value: Coefficient) -> "tuple[Fraction | int, ...]":
     """Ascending coefficients of a polynomial or scalar coefficient."""
-    if isinstance(value, Polynomial):
-        return value.coeffs
-    if isinstance(value, (int, Fraction)):
-        return (value,)
-    raise TypeError(f"expected a Polynomial or scalar, got {type(value).__name__}")
+    cs = _coefficients(value)
+    if cs is None:
+        kind = type(value).__name__
+        raise TypeError(f"expected a Polynomial or scalar, got {kind}")
+    return cs
 
 
 class _Accumulator:
-    """Mutable map from compositions to coefficient lists, summed in place.
-
-    Scalars multiply coefficients directly; a polynomial factor is a
-    convolution into the row.  ``freeze`` builds the immutable result once.
+    """Mutable map from compositions to coefficient lists, summed in place
+    by the polynomial kernel.  ``freeze`` builds the immutable result once.
     """
 
     __slots__ = ("_rows",)
@@ -56,29 +54,13 @@ class _Accumulator:
 
     def add(self, comp: "tuple[int, ...]", coeffs, c: Coefficient = 1) -> None:
         """Add c times the polynomial with ascending ``coeffs`` to ``comp``."""
-        self._add(comp, coeffs, _coeffs(c))
+        _muladd(self._rows.setdefault(comp, []), coeffs, _coeffs(c))
 
     def add_form(self, form: "ClosedForm", c: Coefficient = 1) -> None:
         """Add c times every term of ``form``."""
         factors = _coeffs(c)
         for comp, poly in form._terms.items():
-            self._add(comp, poly.coeffs, factors)
-
-    def _add(self, comp, coeffs, factors) -> None:
-        row = self._rows.get(comp)
-        if row is None:
-            row = self._rows[comp] = []
-        size = len(coeffs) + len(factors) - 1
-        if len(row) < size:
-            row.extend([0] * (size - len(row)))
-        for j, b in enumerate(factors):
-            if b:
-                for i, a in enumerate(coeffs, j):
-                    if a:
-                        # a slot still at 0 takes the product without a
-                        # Fraction addition
-                        v = row[i]
-                        row[i] = v + a * b if v else a * b
+            _muladd(self._rows.setdefault(comp, []), poly.coeffs, factors)
 
     def freeze(self) -> "ClosedForm":
         """The sum so far, with trailing zeros trimmed and zero rows dropped."""

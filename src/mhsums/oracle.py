@@ -69,22 +69,23 @@ def _values(comp: "tuple[int, ...]", n: int) -> "list[Fraction]":
         return vals
 
 
-def mhs_values(n: int, comp: "tuple[int, ...]") -> "list[Fraction]":
-    """The list [H_0(comp), H_1(comp), ..., H_n(comp)]."""
+def _checked(n: int, comp: "tuple[int, ...]") -> "tuple[int, ...]":
+    """The composition as a tuple, once it and the upper limit are valid."""
     comp = tuple(comp)
     check_extended(comp)
     if not isinstance(n, int) or n < 0:
         raise ValueError("upper limit must be a nonnegative integer")
-    return _values(comp, n)[: n + 1]
+    return comp
+
+
+def mhs_values(n: int, comp: "tuple[int, ...]") -> "list[Fraction]":
+    """The list [H_0(comp), H_1(comp), ..., H_n(comp)]."""
+    return _values(_checked(n, comp), n)[: n + 1]
 
 
 def mhs_eval(n: int, comp: "tuple[int, ...]") -> Fraction:
     """H_n(comp) as an exact rational."""
-    comp = tuple(comp)
-    check_extended(comp)
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("upper limit must be a nonnegative integer")
-    return _values(comp, n)[n]
+    return _values(_checked(n, comp), n)[n]
 
 
 def harmonic(n: int, order: int = 1) -> Fraction:

@@ -4,7 +4,9 @@ Coefficients are ``fractions.Fraction`` values stored densely: index ``i``
 holds the coefficient of ``x**i``.  Trailing zeros are trimmed on
 construction, so equality is plain structural comparison and the zero
 polynomial has an empty coefficient tuple (degree -1 by convention).  Every
-operation is exact; nothing in this package ever rounds.
+operation is exact; nothing in this package ever rounds.  All coefficient
+arithmetic, here and in the closed-form accumulator, runs through one
+multiply-add kernel, ``_muladd``.
 """
 
 from __future__ import annotations
@@ -92,50 +94,33 @@ class Polynomial:
     # ------------------------------------------------------------ arithmetic
 
     def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        other = _coerce(other)
-        if other is None:
+        cs = _coefficients(other)
+        if cs is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        return Polynomial(_muladd(list(self.coeffs), cs, _ONE))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial(_muladd([], self.coeffs, _MINUS_ONE))
 
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        other = _coerce(other)
-        if other is None:
+        cs = _coefficients(other)
+        if cs is None:
             return NotImplemented
-        return self + (-other)
+        return Polynomial(_muladd(list(self.coeffs), cs, _MINUS_ONE))
 
     def __rsub__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        other = _coerce(other)
-        if other is None:
+        cs = _coefficients(other)
+        if cs is None:
             return NotImplemented
-        return other + (-self)
+        return Polynomial(_muladd(list(cs), self.coeffs, _MINUS_ONE))
 
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            f = _frac(other)
-            return Polynomial(tuple(c * f for c in self.coeffs))
-        if not isinstance(other, Polynomial):
+        cs = _coefficients(other)
+        if cs is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial(_muladd([], self.coeffs, cs))
 
     __rmul__ = __mul__
 
@@ -166,16 +151,12 @@ class Polynomial:
         return acc
 
     def shift(self, c: Scalar) -> "Polynomial":
-        """The composed polynomial x |-> P(x + c)."""
-        c = _frac(c)
-        out = Polynomial()
-        power = Polynomial.constant(1)
-        step = Polynomial((c, 1))
-        for coeff in self.coeffs:
-            if coeff:
-                out = out + power * coeff
-            power = power * step
-        return out
+        """The composed polynomial x |-> P(x + c), by Horner's rule in x + c."""
+        step = (_frac(c), 1)
+        row: list = []
+        for coeff in reversed(self.coeffs):
+            row = _muladd([coeff], row, step)
+        return Polynomial(row)
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
@@ -221,12 +202,41 @@ def join_signed(parts: "list[tuple[str, str]]", pad: str = " ") -> str:
     return head + "".join(f"{pad}{sign}{pad}{body}" for sign, body in rest)
 
 
-def _coerce(value: object) -> "Polynomial | None":
+def _coefficients(value: object) -> "tuple[Scalar, ...] | None":
+    """Ascending coefficients of a polynomial or scalar; None for any other
+    value.  A scalar is its own one-entry sequence."""
     if isinstance(value, Polynomial):
-        return value
+        return value.coeffs
     if isinstance(value, (int, Fraction)):
-        return Polynomial.constant(value)
+        return (value,)
     return None
+
+
+_ONE = (1,)
+_MINUS_ONE = (-1,)
+
+
+def _muladd(row: list, a, b) -> list:
+    """``row += a * b`` for ascending coefficient sequences; returns ``row``.
+
+    The one loop that adds or multiplies coefficient sequences.  ``row``
+    grows as needed; a factor of 1 adds ``a`` without a multiplication, and a
+    slot still at 0 takes its term without an addition.
+    """
+    size = len(a) + len(b) - 1
+    if len(row) < size:
+        row.extend([0] * (size - len(row)))
+    for j, y in enumerate(b):
+        if not y:
+            continue
+        unit = y == 1
+        for i, x in enumerate(a, j):
+            if x:
+                if not unit:
+                    x = x * y
+                v = row[i]
+                row[i] = v + x if v else x
+    return row
 
 
 def _mono_text(c: Fraction, i: int, var: str) -> str:

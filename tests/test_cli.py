@@ -14,9 +14,13 @@ from mhsums.cli import (
     MAX_BERNOULLI,
     MAX_CONSTANT_BITS,
     MAX_DEGREE,
+    MAX_DEPTH,
     MAX_EVAL_N,
     MAX_NESTING,
     MAX_POWER,
+    MAX_TABLE_N,
+    MAX_TABLE_WEIGHT,
+    MAX_VERIFY_N,
     PolyParseError,
     main,
     parse_poly,
@@ -291,6 +295,24 @@ def test_reduce_usage_errors(capsys):
     assert run_cli(["reduce", "-p", "1", "--comp", "1,x"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--suite", "all", "--max-n", "-1"], "--max-n must be nonnegative"),
+        (
+            ["reduce", "-p", "1", "--method", "both"],
+            "--method theorem needs a nonempty composition",
+        ),
+        (
+            ["sum", "--poly", "m", "--factors", "1", "--shifted"],
+            "--shifted requires --power",
+        ),
+    ],
+)
+def test_usage_errors_one_line(argv, message, capsys):
+    assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+
+
 def test_sum_matches_reduce_route(capsys):
     _, via_sum, _ = run_cli(["sum", "--poly", "m", "--power", "1"], capsys)
     _, via_reduce, _ = run_cli(["reduce", "-p", "1", "--comp", "1"], capsys)
@@ -344,6 +366,22 @@ def test_sum_deep_nesting_exit_code(capsys):
         ["eval", "--n", str(MAX_EVAL_N + 1)],
         ["bernoulli", "--max", "200000"],
         ["bernoulli", "--max", str(MAX_BERNOULLI + 1)],
+        # 500 entries used to end in a RecursionError in reduce
+        ["reduce", "-p", "0", "--comp", ",".join(["1"] * 500)],
+        ["reduce", "-p", "1", "--comp", ",".join(["1"] * (MAX_DEPTH + 1))],
+        ["eval", "--n", "3000", "--comp", ",".join(["1"] * 2000)],
+        ["eval", "--n", "5", "--comp", ",".join(["1"] * (MAX_DEPTH + 1))],
+        # inside every single limit, but jointly too costly
+        ["eval", "--n", "3000", "--comp", ",".join(["1"] * MAX_DEPTH)],
+        ["eval", "--n", "20000", "--comp", "1,1"],
+        ["eval", "--n", "10000", "--comp", "1,1"],
+        ["eval", "--n", "20000", "--comp", "100"],
+        ["eval", "--n", "2000", "--comp", "1,100"],
+        ["verify", "--suite", "reduce", "--max-n", "2000"],
+        ["verify", "--suite", "all", "--max-n", str(MAX_VERIFY_N + 1)],
+        ["table", "--p-max", str(MAX_DEGREE + 1), "--weight-max", "1", "--n", "1"],
+        ["table", "--p-max", "1", "--weight-max", f"{MAX_TABLE_WEIGHT + 1}", "--n", "1"],
+        ["table", "--p-max", "1", "--weight-max", "1", "--n", str(MAX_TABLE_N + 1)],
     ],
 )
 def test_input_limits_exit_fast(argv, capsys):
@@ -373,6 +411,20 @@ def test_largest_accepted_inputs(capsys, no_digit_guard):
         ["sum", "--poly", str(largest), "--power", "0"], capsys
     )
     assert (code, err, out) == (0, "", f"{largest}*n\n")
+    ones = (1,) * MAX_DEPTH
+    comp = ",".join(map(str, ones))
+    code, out, err = run_cli(["reduce", "-p", "0", "--comp", comp], capsys)
+    assert (code, err, out) == (0, "", reduce(0, ones).render() + "\n")
+    code, out, err = run_cli(["eval", "--n", "120", "--comp", comp], capsys)
+    assert (code, err, out) == (0, "", f"{mhs_eval(120, ones)}\n")
+    code, out, err = run_cli(
+        ["table", "--p-max", str(MAX_DEGREE), "--weight-max", "0", "--n", "1"], capsys
+    )
+    assert (code, err, len(out.splitlines())) == (0, "", MAX_DEGREE + 2)
+    code, out, err = run_cli(
+        ["table", "--p-max", "0", "--weight-max", "0", "--n", str(MAX_TABLE_N)], capsys
+    )
+    assert (code, err) == (0, "") and out.endswith(",true\n")
 
 
 def test_eval_formats(capsys):

@@ -47,9 +47,10 @@ def test_mul_matches_pointwise(p, q, n):
     assert (p * q).eval(n) == p.eval(n) * q.eval(n)
 
 
-@given(polys, points)
-def test_neg_and_sub(p, n):
+@given(polys, polys, points)
+def test_neg_and_sub(p, q, n):
     assert (-p).eval(n) == -p.eval(n)
+    assert (p - q).eval(n) == p.eval(n) - q.eval(n)
     assert (p - p).is_zero
 
 
@@ -61,6 +62,29 @@ def test_scalar_ops(p, c, n):
     assert (c - p).eval(n) == c - p.eval(n)
     if c:
         assert (p / c).eval(n) == p.eval(n) / c
+
+
+def test_zero_factors_give_zero():
+    for p in (Polynomial.zero(), Polynomial.constant(3), 2 * x**3 - x):
+        for zero in (0, Fraction(0), Polynomial.zero()):
+            assert (p * zero).coeffs == ()
+            assert (zero * p).coeffs == ()
+
+
+@pytest.mark.parametrize("bad", [1.5, "m"])
+def test_rejects_inexact_and_foreign_operands(bad):
+    p = x + 1
+    for op in (
+        lambda: p + bad,
+        lambda: bad + p,
+        lambda: p - bad,
+        lambda: bad - p,
+        lambda: p * bad,
+        lambda: bad * p,
+        lambda: p.shift(bad),
+    ):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_division_by_zero_scalar():
