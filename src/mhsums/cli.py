@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -74,14 +75,15 @@ def _tokenize(text: str):
 MAX_NESTING = 100
 
 # Input sizes, checked before any work starts.  A weight of degree d and an
-# inner power t cost (d + 1) * 2**(t - 1) reductions of power up to d, and the
-# work of each grows steeply with both; a polynomial power also costs one
-# product per unit of its exponent.
+# inner power t cost 2**(t - 1) walks at degree d (see MAX_WALK_COST); a
+# polynomial power also costs one product per unit of its exponent.
 MAX_DEGREE = 100  # degree of the weight, any exponent in it, -p, |--comp entry|
 MAX_POWER = 12  # --power, and the summed multiplicities of --factors
 # A constant's cost grows with its size; (9^100)^100 has 31,700 bits.
 MAX_CONSTANT_BITS = 40_000  # numerator or denominator of a literal, power or product
-# The reducer and the direct evaluator recurse once per --comp entry.
+# Nothing recurses per --comp entry, but the output and the oracle's suffix
+# tables grow with depth**2: with 1,000 ones reduce -p 0 prints 1 MB and eval
+# --n 1000 takes 1.6 s and 51 MB; with 2,000, 4 MB, 6.4 s and 161 MB.
 MAX_DEPTH = 100  # entries of --comp
 # The direct evaluator builds a table of n exact values per suffix of the
 # composition, and the Bernoulli table costs m exact terms for its m-th entry.
@@ -94,6 +96,13 @@ MAX_BERNOULLI = 1_000  # bernoulli --max
 # timings, the estimate n**2 * w_last + n**3 * sum(w**2) / 5000 at this
 # limit takes at most about 4 s on a 2-vCPU VM.
 MAX_EVAL_COST = 400_000_000  # eval, see _eval_cost
+# reduce, sum and check walk each composition by summation by parts (see
+# ``reducer``): step i, at a weight of degree d, sums about d**2 products of
+# numbers that grow with i.  Fitted to timed reduce and sum runs, a step costs
+# (d + 1)**2.8 * (i + 1)**0.9 + 3000 units of about 11 ns on a 2-vCPU VM; the
+# costliest accepted inputs found take 5 s, and 6.4 s for reduce --method
+# both, which also runs the direct formula at about the same cost.
+MAX_WALK_COST = 300_000_000  # reduce, sum and check, see _walk_cost
 MAX_VERIFY_N = 200  # verify --max-n
 MAX_TABLE_WEIGHT = 12  # table --weight-max, which lists 2**w compositions
 MAX_TABLE_N = 10_000  # table --n; table --p-max is bounded by MAX_DEGREE
@@ -267,6 +276,50 @@ def _eval_cost(n: int, comp: "tuple[int, ...]") -> int:
     return n**2 * last + n**3 * sum(w * w for w in rest) // 5_000
 
 
+def _step_cost(d: int, i: int) -> float:
+    return (d + 1) ** 2.8 * (i + 1) ** 0.9 + 3_000
+
+
+def _walk_cost(degree: int, comp: "tuple[int, ...]") -> float:
+    """Estimated cost (see ``MAX_WALK_COST``) of the walk over ``comp`` with
+    a weight of the given degree; an entry k lowers the degree by k - 1."""
+    cost, d = 0.0, degree
+    for i in range(len(comp) + 1):
+        if d < 0:
+            break
+        cost += _step_cost(d, i)
+        if i < len(comp):
+            d = min(d, d + 1 - comp[i])
+    return cost
+
+
+def _walks_cost(degree: int, weight: int, depth: int, least=1, unit=1) -> float:
+    """Estimated cost of the walks over every composition of ``weight`` into
+    at most ``depth`` multiples of ``unit``, none below ``least``:
+    ``count(s, i)`` of them start with i entries that add up to s, each
+    prefix with as many completions as ``weight - s`` has compositions into
+    ``depth - i`` or fewer entries, and the walk is at degree
+    ``degree + i - s`` there."""
+
+    def count(w, parts):  # compositions of w into exactly ``parts`` entries
+        if w % unit:
+            return 0
+        w = w // unit - parts * (least // unit - 1)
+        return math.comb(w - 1, parts - 1) if w > 0 and parts > 0 else int(w == parts)
+
+    cost = 0.0
+    for i in range(depth + 1):
+        for s in range(i * least, min(weight, degree + i) + 1):
+            ends = sum(count(weight - s, r) for r in range(depth - i + 1))
+            cost += count(s, i) * ends * _step_cost(degree + i - s, i)
+    return cost
+
+
+def _check_walk_cost(cost: float, flags: str) -> None:
+    if cost > MAX_WALK_COST:
+        raise ValueError(f"{flags} have an estimated cost above {MAX_WALK_COST}")
+
+
 def _parse_factors(text: str) -> "list[tuple[int, int]]":
     factors = []
     for part in text.split(","):
@@ -378,6 +431,7 @@ def _cmd_reduce(args) -> int:
     comp = _parse_comp(args.comp)
     if args.method in ("theorem", "both") and not comp:
         raise ValueError("--method theorem needs a nonempty composition")
+    _check_walk_cost(_walk_cost(args.power, comp), "-p and --comp")
     primary = (
         reduce(args.power, comp)
         if args.method != "theorem"
@@ -396,6 +450,8 @@ def _cmd_sum(args) -> int:
     F = parse_poly(args.poly)
     if args.power is not None:
         _check_flag("--power", args.power, MAX_POWER)
+        cost = _walks_cost(F.degree, args.power, args.power)
+        _check_walk_cost(cost, "--poly and --power")
         closed = (
             sum_power_shifted(F, args.power)
             if args.shifted
@@ -409,6 +465,13 @@ def _cmd_sum(args) -> int:
             raise ValueError(
                 f"--factors multiplicities must add up to at most {MAX_POWER}"
             )
+        # every entry of the product is a sum of factor orders
+        orders = [order for order, _ in factors]
+        weight = sum(order * mult for order, mult in factors)
+        depth = sum(mult for _, mult in factors)
+        unit = math.gcd(*orders) or 1  # sum_product refuses an order below 1
+        cost = _walks_cost(F.degree, weight, depth, min(orders), unit)
+        _check_walk_cost(cost, "--poly and --factors")
         closed = sum_product(F, factors)
     print(closed.render(args.format))
     return 0
@@ -426,7 +489,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_check(args) -> int:
     _check_flag("--power", args.power, MAX_POWER)
-    report = structure_check(parse_poly(args.poly), args.power)
+    F = parse_poly(args.poly)
+    cost = _walks_cost(F.degree, args.power, args.power)
+    _check_walk_cost(cost, "--poly and --power")
+    report = structure_check(F, args.power)
     payload = {
         "passes": report.passes,
         "offending_terms": [term_json_obj(c, p) for c, p in report.offending_terms],

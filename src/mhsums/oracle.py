@@ -6,12 +6,12 @@ after the first must be positive.  The first entry may be zero or negative,
 which turns 1/n_1**k_1 into the power n_1**|k_1|; that shape equals
 sum_{m=1..n} m**|k_1| * H_{m-1}(k_2, ..., k_r).
 
-Evaluation runs bottom-up over suffixes: the table of H_m(suffix) for
-m = 0..n is built once per composition and cached, so a single evaluation
-costs O(n * depth) exact rational operations instead of a depth-deep nested
-loop, and repeated evaluations are lookups.  The cache grows append-only
-under a re-entrant lock, so it behaves as if computed once even when shared
-between threads.
+Evaluation runs bottom-up over suffixes, the shortest first and without
+recursion: the table of H_m(suffix) for m = 0..n is built once per
+composition and cached, so a single evaluation costs O(n * depth) exact
+rational operations instead of a depth-deep nested loop, and repeated
+evaluations are lookups.  The cache grows append-only under a re-entrant
+lock, so it behaves as if computed once even when shared between threads.
 """
 
 from __future__ import annotations
@@ -54,18 +54,17 @@ def check_extended(comp: "tuple[int, ...]") -> None:
 def _values(comp: "tuple[int, ...]", n: int) -> "list[Fraction]":
     with _lock:
         vals = _cache.get(comp)
-        if vals is None:
-            vals = [Fraction(1) if not comp else Fraction(0)]
-            _cache[comp] = vals
-        if len(vals) > n:
+        if vals is not None and len(vals) > n:
             return vals
-        if not comp:
-            vals.extend(Fraction(1) for _ in range(len(vals), n + 1))
-            return vals
-        tail = _values(comp[1:], n - 1)
-        k1 = comp[0]
-        for m in range(len(vals), n + 1):
-            vals.append(vals[m - 1] + Fraction(m) ** (-k1) * tail[m - 1])
+        # back to front: the table of comp[i:] needs its values up to n - i
+        for i in range(min(len(comp), n + 1), -1, -1):
+            tail, suffix = vals, comp[i:]
+            vals = _cache.setdefault(suffix, [Fraction(0) if suffix else Fraction(1)])
+            if not suffix:
+                vals.extend([Fraction(1)] * (n - i + 1 - len(vals)))
+                continue
+            for m in range(len(vals), n - i + 1):
+                vals.append(vals[m - 1] + Fraction(m) ** (-suffix[0]) * tail[m - 1])
         return vals
 
 

@@ -1,21 +1,21 @@
 """Rewrites power-weighted harmonic sums as closed forms over proper sums.
 
-The quantity handled here is sum_{m=1..n} m**p * H_{m-1}(k_1, ..., k_r),
-equivalently the extended sum whose leading index is -p.  ``reduce``
-eliminates the leading power step by step: the power-sum prefactor comes out
-as a polynomial (Faulhaber), and each remaining term either already is a
-proper multiple harmonic sum or is a shorter extended sum handled
-recursively.  Depth strictly decreases, so the recursion terminates, and the
-result is a polynomial-coefficient combination of proper sums whose
-coefficient degrees never exceed p + 1.
+The quantity handled here is sum_{m=1..n} G(m) * H_{m-1}(k_1, ..., k_r) for a
+polynomial weight G; ``reduce`` takes G = m**p, the extended sum with leading
+index -p.  With S = s_1 x + s_2 x**2 + ... the power sum of G, summation by
+parts gives sum G(m) H_{m-1}(k, c) = S(n) H_n(k, c) - sum_{0<j<k} s_j H_n(k-j, c)
+- sum G'(m) H_{m-1}(c), where G' = sum_{j>=k} s_j x**(j-k): the same shape, one
+entry shorter.  So one loop over the entries carries the weight and a sign,
+adds each step's rows to one accumulator and stops once the weight is zero;
+no coefficient degree exceeds deg(G) + 1.
 
 ``reduce_direct`` computes the same closed form in a single pass from the
 fully unrolled three-block summation formula and exists purely as an
-independent cross-check; the recurrence path is authoritative.  One reading
+independent cross-check; the summation by parts is authoritative.  One reading
 note on the unrolled formula: in the leading (polynomial times tail) block,
 the last summation index of the l-th term ranges over the full current degree
 budget -- as if that block's final composition entry were 1 -- for every l,
-not only for l = r.  This is the reading consistent with the recurrence;
+not only for l = r.  This is the reading consistent with ``reduce``;
 agreement of the two paths is enforced by the tests and by
 ``reduce --method both`` on the command line.
 
@@ -32,11 +32,11 @@ polynomial divided by x.
 helper, ``_chain_step``.  Each factor depends on the earlier j's only through
 their sum, so the chain keeps one merged state per partial sum instead of
 listing every j-tuple; the cost is polynomial in p and the depth.
-``faulhaber`` builds its factors on its own, and the recurrence behind
-``reduce`` reads them from Faulhaber's polynomial; neither uses the chain
-helper, so that the two reduction routes stay independent checks of each
-other.  Both routes sum their terms in the closed-form accumulator, which
-is only linear algebra over ``Fraction`` and holds no reduction logic.
+``faulhaber`` builds its factors on its own, and the summation by parts
+behind ``reduce`` reads them from Faulhaber's polynomials; neither uses the
+chain helper, so that the two reduction routes stay independent checks of
+each other.  Both routes sum their terms in the closed-form accumulator,
+which is only linear algebra over ``Fraction`` and holds no reduction logic.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from functools import lru_cache
 from .bernoulli import bernoulli, umbral_eval
 from .closedform import ClosedForm, _Accumulator
 from .oracle import is_proper
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _muladd
 
 __all__ = ["faulhaber", "c_poly", "d_umbral", "reduce", "reduce_direct"]
 
@@ -141,21 +141,30 @@ def reduce(p: int, comp: "tuple[int, ...]" = ()) -> ClosedForm:
 
 @lru_cache(maxsize=None)
 def _reduce(p: int, comp: "tuple[int, ...]") -> ClosedForm:
-    if not comp:
-        return ClosedForm({(): faulhaber(p)})
-    head, tail = comp[0], comp[1:]
-    F = faulhaber(p)
+    return _by_parts({comp: 1}, [0] * p + [1])
+
+
+def _by_parts(comb, weight) -> ClosedForm:
+    """Closed form of sum_{m=1..n} G(m) * (the combination ``comb`` of
+    H_{m-1} sums), with G given by its ascending coefficients ``weight``:
+    one walk per composition, all into one accumulator."""
     out = _Accumulator()
-    out.add(comp, F.coeffs)
-    for j in range(p + 1):
-        c = F.coeffs[p + 1 - j]  # C(p+1, j) * B_j / (p+1)
-        if not c:
-            continue
-        first = head + j - p - 1
-        if first >= 1:
-            out.add((first,) + tail, (-c,))
-        else:
-            out.add_form(_reduce(-first, tail), -c)
+    for comp, c in comb.items():
+        G = weight
+        for i in range(len(comp) + 1):
+            if not c or not any(G):
+                break
+            S: list = []
+            for q, g in enumerate(G):
+                if g:
+                    _muladd(S, faulhaber(q).coeffs, (g,))
+            out.add(comp[i:], S, c)
+            if i < len(comp):
+                k = comp[i]
+                for j in range(1, min(k, len(S))):
+                    if S[j]:
+                        out.add((k - j,) + comp[i + 1 :], (S[j],), -c)
+                G, c = S[k:], -c
     return out.freeze()
 
 

@@ -1,8 +1,8 @@
 """Closed forms for weighted sums of powers and products of harmonic numbers.
 
 ``sum_power`` turns sum_{m=1..n} F(m) * H_{m-1}**t into a flat closed form:
-the power expands through the quasi-shuffle algebra, each piece becomes an
-extended sum with leading power weight, and the reducer does the rest.
+the power expands through the quasi-shuffle algebra, and the reducer's
+summation by parts turns F(m) times each piece into proper sums.
 ``sum_power_shifted`` handles the H_m (unshifted-argument) variant via
 sum_{m=0..n} F(m) H_m**t = F(n) H_n**t + sum_{m=1..n} F(m-1) H_{m-1}**t.
 ``sum_product`` generalizes the inner factor to any product of depth-one
@@ -25,7 +25,7 @@ from fractions import Fraction
 from .bernoulli import bernoulli, umbral_eval
 from .closedform import ClosedForm, _Accumulator
 from .polynomial import Polynomial, discrete_sum
-from .reducer import c_poly, d_umbral, faulhaber, reduce
+from .reducer import _by_parts, c_poly, d_umbral, faulhaber
 from .stuffle import expand_power, product_combinations
 
 __all__ = [
@@ -45,24 +45,10 @@ def _check_weight(F: Polynomial) -> None:
         raise TypeError("the weight must be a Polynomial")
 
 
-def _combination_closed(comb, p_weights) -> ClosedForm:
-    """sum_{m=1..n} F(m) * (combination of H_{m-1} sums), with F given by its
-    monomial coefficients."""
-    out = _Accumulator()
-    for comp, c in comb.items():
-        if not c:
-            continue
-        for p, a in p_weights:
-            if a:
-                out.add_form(reduce(p, comp), a * c)
-    return out.freeze()
-
-
 def sum_power(F: Polynomial, t: int) -> ClosedForm:
     """Closed form of sum_{m=1..n} F(m) * H_{m-1}**t."""
     _check_weight(F)
-    p_weights = list(enumerate(F.coeffs))
-    return _combination_closed(expand_power(1, t), p_weights)
+    return _by_parts(expand_power(1, t), F.coeffs)
 
 
 def sum_power_shifted(F: Polynomial, t: int) -> ClosedForm:
@@ -87,7 +73,7 @@ def sum_product(F: Polynomial, factors: "list[tuple[int, int]]") -> ClosedForm:
         if not isinstance(mult, int) or mult < 1:
             raise ValueError("factor multiplicities must be positive integers")
         comb = product_combinations(comb, expand_power(order, mult))
-    return _combination_closed(comb, list(enumerate(F.coeffs)))
+    return _by_parts(comb, F.coeffs)
 
 
 # --------------------------------------------------------------- structured

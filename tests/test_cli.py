@@ -377,6 +377,15 @@ def test_sum_deep_nesting_exit_code(capsys):
         ["eval", "--n", "10000", "--comp", "1,1"],
         ["eval", "--n", "20000", "--comp", "100"],
         ["eval", "--n", "2000", "--comp", "1,100"],
+        # walks jointly too costly: 25 s, 9 s, 27 s, not run, 10 s and 67 s;
+        # the last one spends 24 s in the stuffle product alone
+        ["reduce", "-p", "100", "--comp", ",".join(["1"] * MAX_DEPTH)],
+        ["reduce", "-p", "100", "--comp", ",".join(["1"] * 50), "--method", "both"],
+        ["sum", "--poly", "m^100", "--power", "10"],
+        ["sum", "--poly", "m^100", "--power", str(MAX_POWER)],
+        ["check", "--poly", "m^30", "--power", str(MAX_POWER)],
+        ["sum", "--poly", "m^100", "--factors", "1^4,2^4"],
+        ["sum", "--poly", "1", "--factors", "1^4,2^4,3^4"],
         ["verify", "--suite", "reduce", "--max-n", "2000"],
         ["verify", "--suite", "all", "--max-n", str(MAX_VERIFY_N + 1)],
         ["table", "--p-max", str(MAX_DEGREE + 1), "--weight-max", "1", "--n", "1"],

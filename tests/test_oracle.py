@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,12 @@ def test_short_range_vanishes():
     assert mhs_eval(1, (1, 1)) == 0
     assert mhs_eval(2, (1, 1, 1)) == 0
     assert mhs_eval(0, (3,)) == 0
+
+
+def test_deep_composition():
+    # H_n(1, ..., 1) of depth n is 1/n!; 1,100 entries is past the
+    # interpreter's default recursion limit
+    assert mhs_eval(1100, (1,) * 1100) == Fraction(1, factorial(1100))
 
 
 def test_values_prefix():

@@ -127,6 +127,13 @@ def test_reduce_coefficient_degree_bound():
                 assert poly.degree <= p + 1
 
 
+def test_reduce_deep_composition():
+    # 2,000 entries, far past the recursion limit; each step of the walk
+    # carries the same weight x one entry further, with the sign flipped
+    want = {(1,) * (2000 - i): (-1) ** i * x for i in range(2001)}
+    assert reduce(0, (1,) * 2000) == ClosedForm(want)
+
+
 def test_reduce_oracle_grid():
     for p in range(4):
         for comp in compositions_up_to(3):
@@ -359,6 +366,7 @@ def test_direct_matches_recurrence_structurally():
     cases = [(p, comp) for p in range(9) for comp in comps]
     # deep, high-power inputs: the merged chain keeps these polynomial in p
     cases += [(p, (1,) * r) for p in range(0, 31, 5) for r in range(1, 7)]
+    cases += [(30, (1,) * 30), (100, (1,) * 10)]
     for p, comp in cases:
         assert reduce_direct(p, comp) == reduce(p, comp), (p, comp)
 
