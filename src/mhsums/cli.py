@@ -17,14 +17,14 @@ from fractions import Fraction
 from .bernoulli import bernoulli
 from .closedform import term_json_obj
 from .oracle import mhs_eval
-from .polynomial import Polynomial, _frac_latex
+from .polynomial import _FORMATS, Polynomial, _render
 from .reducer import reduce, reduce_direct
 from .sums import structure_check, sum_power, sum_power_shifted, sum_product
 from .verify import SUITES, form_mismatch, run_table, run_verify
 
 __all__ = ["PolyParseError", "parse_poly", "main"]
 
-FORMATS = ("text", "latex", "json")
+FORMATS = (*_FORMATS, "json")
 METHODS = ("recurrence", "theorem", "both")
 
 
@@ -106,6 +106,13 @@ MAX_WALK_COST = 300_000_000  # reduce, sum and check, see _walk_cost
 MAX_VERIFY_N = 200  # verify --max-n
 MAX_TABLE_WEIGHT = 12  # table --weight-max, which lists 2**w compositions
 MAX_TABLE_N = 10_000  # table --n; table --p-max is bounded by MAX_DEGREE
+# table reduces, evaluates and checks against the oracle each of its 2**w
+# rows per p.  Fitted to timed tables, in the units of MAX_WALK_COST, a row
+# costs its walk plus 3000 + 400 * (p + 1)**1.5 * (w + 1) for the rest of
+# reduce and the evaluation, and an oracle table costs 1200 per value plus
+# MAX_EVAL_COST's estimate of its bits.  The costliest accepted tables found
+# take 2.6 to 5.8 s on a 2-vCPU VM.
+MAX_TABLE_COST = 400_000_000  # table, see _table_cost
 
 
 class _Parser:
@@ -315,6 +322,25 @@ def _walks_cost(degree: int, weight: int, depth: int, least=1, unit=1) -> float:
     return cost
 
 
+def _table_cost(p_max: int, weight_max: int, n: int) -> float:
+    """Estimated cost of ``table`` (see ``MAX_TABLE_COST``), summed only
+    until it passes the limit.  The oracle builds a table for each
+    composition and one for each row, ``(-p,) + comp``; of weight w, the
+    table of ``(w,)`` adds ``n**2 * w`` and each other ``n**3 * w**2 / 5000``
+    to its cost per value, as in ``_eval_cost``."""
+    rows = 2**weight_max
+    cost = ((p_max + 2) * rows - 1) * 1_200 * n
+    for w in range(1, weight_max + 1):
+        deep = (p_max + 2) * 2 ** (w - 1) - 1
+        cost += n**2 * w + deep * n**3 * w * w // 5_000
+    for p in range(p_max + 1):
+        if cost > MAX_TABLE_COST:
+            break
+        cost += sum(_walks_cost(p, w, w) for w in range(weight_max + 1))
+        cost += rows * (3_000 + 400 * (p + 1) ** 1.5 * (weight_max + 1))
+    return cost
+
+
 def _check_walk_cost(cost: float, flags: str) -> None:
     if cost > MAX_WALK_COST:
         raise ValueError(f"{flags} have an estimated cost above {MAX_WALK_COST}")
@@ -332,17 +358,6 @@ def _parse_factors(text: str) -> "list[tuple[int, int]]":
         else:
             factors.append((int(part), 1))
     return factors
-
-
-# ----------------------------------------------------------------- emitters
-
-
-def _emit_fraction(value: Fraction, fmt: str) -> str:
-    if fmt == "text":
-        return str(value)
-    if fmt == "latex":
-        return ("-" if value < 0 else "") + _frac_latex(abs(value))
-    return json.dumps({"value": [value.numerator, value.denominator]})
 
 
 # ------------------------------------------------------------------ parsing
@@ -483,7 +498,10 @@ def _cmd_eval(args) -> int:
     if _eval_cost(args.n, comp) > MAX_EVAL_COST:
         raise ValueError(f"--n and --comp have an estimated cost above {MAX_EVAL_COST}")
     value = mhs_eval(args.n, comp)
-    print(_emit_fraction(value, args.format))
+    if args.format == "json":
+        print(json.dumps({"value": [value.numerator, value.denominator]}))
+    else:  # a constant polynomial
+        print(_render((value,), "n", args.format))
     return 0
 
 
@@ -514,6 +532,9 @@ def _cmd_table(args) -> int:
     _check_flag("--p-max", args.p_max, MAX_DEGREE)
     _check_flag("--weight-max", args.weight_max, MAX_TABLE_WEIGHT)
     _check_flag("--n", args.n, MAX_TABLE_N)
+    if _table_cost(args.p_max, args.weight_max, args.n) > MAX_TABLE_COST:
+        flags = "--p-max, --weight-max and --n"
+        raise ValueError(f"{flags} have an estimated cost above {MAX_TABLE_COST}")
     print(run_table(args.p_max, args.weight_max, args.n), end="")
     return 0
 

@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .oracle import is_proper, mhs_eval
-from .polynomial import Polynomial, _coefficients, _muladd, join_signed
+from .polynomial import _FORMATS, Polynomial, _coefficients, _muladd, _render
+from .polynomial import join_signed
 from .stuffle import composition_key
 
 __all__ = ["ClosedForm", "term_json_obj"]
@@ -166,13 +167,11 @@ class ClosedForm:
     # ------------------------------------------------------------- rendering
 
     def render(self, fmt: str = "text") -> str:
-        if fmt == "text":
-            return join_signed([_term_text(c, p) for c, p in self.terms])
-        if fmt == "latex":
-            return join_signed([_term_latex(c, p) for c, p in self.terms])
         if fmt == "json":
             return self.to_json()
-        raise ValueError(f"unknown format {fmt!r}")
+        if fmt not in _FORMATS:
+            raise ValueError(f"unknown format {fmt!r}")
+        return join_signed([_term(c, p, fmt) for c, p in self.terms])
 
     # ---------------------------------------------------------------- JSON
 
@@ -205,53 +204,22 @@ def term_json_obj(comp: "tuple[int, ...]", poly: Polynomial) -> dict:
     }
 
 
-def _sign_split(poly: Polynomial) -> "tuple[str, Polynomial, bool]":
-    """Pull an overall sign out of a coefficient polynomial.
-
-    Returns (sign, magnitude, is_single_monomial).  Multi-monomial
-    coefficients keep their internal signs unless all are negative.
-    """
-    monos = sum(1 for c in poly.coeffs if c)
-    if monos <= 1:
-        lead = poly.coeffs[-1] if poly.coeffs else Fraction(0)
-        if lead < 0:
-            return "-", -poly, True
-        return "+", poly, True
-    if all(c <= 0 for c in poly.coeffs):
-        return "-", -poly, False
-    return "+", poly, False
-
-
-def _h_text(comp: "tuple[int, ...]") -> str:
-    return "H(%s)" % ",".join(str(k) for k in comp)
-
-
-def _h_latex(comp: "tuple[int, ...]") -> str:
-    if comp == (1,):
-        return "H_n"
-    return "H_n(%s)" % ",".join(str(k) for k in comp)
-
-
-def _term_text(comp, poly) -> "tuple[str, str]":
+def _term(comp: "tuple[int, ...]", poly: Polynomial, fmt: str) -> "tuple[str, str]":
+    """(sign, body) of one term.  The bare polynomial sorts first and keeps
+    its own signs; any other coefficient gives up an overall minus sign when
+    none of its coefficients is positive."""
     if not comp:
-        # the bare polynomial sorts first, so it may carry its own signs
-        return "+", poly.text("n")
-    sign, mag, single = _sign_split(poly)
-    h = _h_text(comp)
-    if mag == 1:
+        return "+", _render(poly.coeffs, "n", fmt)
+    sign, coeffs = "+", poly.coeffs
+    if all(c <= 0 for c in coeffs):
+        sign, coeffs = "-", tuple(-c for c in coeffs)
+    _, _, times, _, bracket, harmonic = _FORMATS[fmt]
+    h = harmonic % ",".join(str(k) for k in comp)
+    if fmt == "latex" and comp == (1,):
+        h = "H_n"
+    if coeffs == (1,):
         return sign, h
-    if single:
-        return sign, f"{mag.text('n')}*{h}"
-    return sign, f"({mag.text('n')})*{h}"
-
-
-def _term_latex(comp, poly) -> "tuple[str, str]":
-    if not comp:
-        return "+", poly.latex("n")
-    sign, mag, single = _sign_split(poly)
-    h = _h_latex(comp)
-    if mag == 1:
-        return sign, h
-    if single:
-        return sign, mag.latex("n") + h
-    return sign, r"\left(" + mag.latex("n") + r"\right)" + h
+    body = _render(coeffs, "n", fmt)
+    if sum(1 for c in coeffs if c) > 1:
+        body = bracket % body
+    return sign, body + times + h

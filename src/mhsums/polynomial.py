@@ -6,7 +6,9 @@ construction, so equality is plain structural comparison and the zero
 polynomial has an empty coefficient tuple (degree -1 by convention).  Every
 operation is exact; nothing in this package ever rounds.  All coefficient
 arithmetic, here and in the closed-form accumulator, runs through one
-multiply-add kernel, ``_muladd``.
+multiply-add kernel, ``_muladd``, and all text and LaTeX output, here, in
+closed forms and on the command line, is written from one format table,
+``_FORMATS``.
 """
 
 from __future__ import annotations
@@ -173,20 +175,42 @@ class Polynomial:
 
     def text(self, var: str = "n") -> str:
         """Plain-text form, descending powers, e.g. ``3*n^2 - 5*n + 2``."""
-        return join_signed(self._signed(_mono_text, var))
+        return _render(self.coeffs, var, "text")
 
     def latex(self, var: str = "n") -> str:
-        return join_signed(self._signed(_mono_latex, var), pad="")
-
-    def _signed(self, mono, var: str) -> "list[tuple[str, str]]":
-        """(sign, monomial body) pairs in descending powers."""
-        return [
-            ("-" if c < 0 else "+", mono(abs(c), i, var))
-            for i, c in reversed(list(enumerate(self.coeffs)))
-            if c
-        ]
+        return _render(self.coeffs, var, "latex")
 
     __str__ = text
+
+
+# How each format writes a rational that is not an integer, a power of the
+# variable, a product, the padding around the sign between two monomials, a
+# bracketed factor and the harmonic sum of a composition: all but the product
+# and the padding are %-templates.
+_FORMATS = {
+    "text": ("%d/%d", "%s^%d", "*", " ", "(%s)", "H(%s)"),
+    "latex": (r"\frac{%d}{%d}", "%s^{%d}", "", "", r"\left(%s\right)", "H_n(%s)"),
+}
+
+
+def _render(coeffs, var: str, fmt: str) -> str:
+    """The polynomial with ascending ``coeffs`` in descending powers of
+    ``var``, written in one of the ``_FORMATS``."""
+    fraction, power, times, pad, _, _ = _FORMATS[fmt]
+    parts = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c:
+            a = abs(c)
+            if a.denominator == 1:
+                body = str(a.numerator)
+            else:
+                body = fraction % (a.numerator, a.denominator)
+            if i:
+                v = var if i == 1 else power % (var, i)
+                body = v if a == 1 else body + times + v
+            parts.append(("-" if c < 0 else "+", body))
+    return join_signed(parts, pad)
 
 
 def join_signed(parts: "list[tuple[str, str]]", pad: str = " ") -> str:
@@ -237,26 +261,6 @@ def _muladd(row: list, a, b) -> list:
                 v = row[i]
                 row[i] = v + x if v else x
     return row
-
-
-def _mono_text(c: Fraction, i: int, var: str) -> str:
-    if i == 0:
-        return str(c)
-    v = var if i == 1 else f"{var}^{i}"
-    return v if c == 1 else f"{c}*{v}"
-
-
-def _frac_latex(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return r"\frac{%d}{%d}" % (c.numerator, c.denominator)
-
-
-def _mono_latex(c: Fraction, i: int, var: str) -> str:
-    if i == 0:
-        return _frac_latex(c)
-    v = var if i == 1 else "%s^{%d}" % (var, i)
-    return v if c == 1 else _frac_latex(c) + v
 
 
 def _binomial_upper(k: int) -> Polynomial:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .bernoulli import bernoulli, umbral_eval
 from .closedform import ClosedForm, _Accumulator
 from .polynomial import Polynomial, discrete_sum
-from .reducer import _by_parts, c_poly, d_umbral, faulhaber
+from .reducer import _by_parts, _check_power, c_poly, d_umbral, faulhaber
 from .stuffle import expand_power, product_combinations
 
 __all__ = [
@@ -113,14 +113,12 @@ def structured_form(kind: str, arg) -> StructuredForm:
     if kind == "hn4":
         _check_weight(arg)
         return _hn4(arg)
-    p = arg
-    if not isinstance(p, int) or p < 0:
-        raise ValueError("the power weight must be a nonnegative integer")
+    _check_power(arg)
     if kind == "hn2":
-        return _hn2(p)
+        return _hn2(arg)
     if kind == "hn3":
-        return _hn3(p)
-    return _mixed(p)
+        return _hn3(arg)
+    return _mixed(arg)
 
 
 def _weighted_b(p: int, shift: int, scale: Fraction) -> Fraction:

@@ -391,6 +391,11 @@ def test_sum_deep_nesting_exit_code(capsys):
         ["table", "--p-max", str(MAX_DEGREE + 1), "--weight-max", "1", "--n", "1"],
         ["table", "--p-max", "1", "--weight-max", f"{MAX_TABLE_WEIGHT + 1}", "--n", "1"],
         ["table", "--p-max", "1", "--weight-max", "1", "--n", str(MAX_TABLE_N + 1)],
+        # table jointly too costly: 13 s, still running after 100 s, and 17 s,
+        # of which the walks alone would be estimated at about 3 s
+        ["table", "--p-max", "10", "--weight-max", "10", "--n", "20"],
+        ["table", "--p-max", "100", "--weight-max", "6", "--n", "20"],
+        ["table", "--p-max", "25", "--weight-max", "8", "--n", "1"],
     ],
 )
 def test_input_limits_exit_fast(argv, capsys):
@@ -434,6 +439,9 @@ def test_largest_accepted_inputs(capsys, no_digit_guard):
         ["table", "--p-max", "0", "--weight-max", "0", "--n", str(MAX_TABLE_N)], capsys
     )
     assert (code, err) == (0, "") and out.endswith(",true\n")
+    # each table flag at its limit alone stays inside the joint bound
+    for corner in ((MAX_DEGREE, 1, 5), (0, MAX_TABLE_WEIGHT, 5), (0, 1, MAX_TABLE_N)):
+        assert cli._table_cost(*corner) <= cli.MAX_TABLE_COST
 
 
 def test_eval_formats(capsys):
@@ -446,6 +454,9 @@ def test_eval_formats(capsys):
         ["eval", "--n", "4", "--comp", "2", "--format", "latex"], capsys
     )
     assert out.strip() == r"\frac{205}{144}"
+    for fmt, want in (("text", "0"), ("latex", "0"), ("json", '{"value": [0, 1]}')):
+        argv = ["eval", "--n", "0", "--comp", "2", "--format", fmt]
+        assert run_cli(argv, capsys) == (0, want + "\n", "")
 
 
 @pytest.mark.skipif(

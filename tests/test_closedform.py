@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from mhsums.closedform import ClosedForm, _Accumulator
 from mhsums.oracle import mhs_eval
 from mhsums.polynomial import Polynomial
+from mhsums.reducer import reduce
+from mhsums.sums import sum_power, sum_power_shifted, sum_product
 
 x = Polynomial.variable()
 
@@ -99,6 +103,13 @@ def test_render_text_edge_cases():
     assert ClosedForm({(1,): -x}).render("text") == "-n*H(1)"
     cf = ClosedForm({(): -(x ** 2) / 4 - 3 * x / 4, (1,): (x ** 2 + x) / 2})
     assert cf.render("text") == "-1/4*n^2 - 3/4*n + (1/2*n^2 + 1/2*n)*H(1)"
+    cf = ClosedForm({(1,): 1, (2, 1): -(x ** 2 + x) / 2})
+    assert cf.render("text") == "H(1) - (1/2*n^2 + 1/2*n)*H(2,1)"
+    assert ClosedForm({(): -x, (1,): -x - 1}).render("text") == "-n - (n + 1)*H(1)"
+    assert ClosedForm({(): Fraction(-3, 4)}).render("text") == "-3/4"
+    assert ClosedForm({(2,): Fraction(-3, 4)}).render("text") == "-3/4*H(2)"
+    assert ClosedForm({(1,): 1}).render("text") == "H(1)"
+    assert ClosedForm({(): 5}).render("text") == "5"
 
 
 def test_render_latex_golden():
@@ -106,6 +117,49 @@ def test_render_latex_golden():
     assert (
         cf.render("latex")
         == r"\left(\frac{1}{2}n^{2}+\frac{1}{2}n\right)H_n - nH_n(2,1)"
+    )
+
+
+def test_render_latex_edge_cases():
+    assert ClosedForm({}).render("latex") == "0"
+    cf = ClosedForm({(1,): 1, (2, 1): -(x ** 2 + x) / 2})
+    assert (
+        cf.render("latex")
+        == r"H_n - \left(\frac{1}{2}n^{2}+\frac{1}{2}n\right)H_n(2,1)"
+    )
+    cf = ClosedForm({(): -x, (1,): -x - 1})
+    assert cf.render("latex") == r"-n - \left(n+1\right)H_n"
+    assert ClosedForm({(): Fraction(-3, 4)}).render("latex") == r"-\frac{3}{4}"
+    assert ClosedForm({(2,): Fraction(-3, 4)}).render("latex") == r"-\frac{3}{4}H_n(2)"
+    assert ClosedForm({(1,): 1}).render("latex") == "H_n"
+    assert ClosedForm({(1,): -1}).render("latex") == "-H_n"
+    assert ClosedForm({(): 5}).render("latex") == "5"
+
+
+def _pinned_forms():
+    yield from (
+        reduce(p, comp)
+        for p in range(8)
+        for depth in range(4)
+        for comp in itertools.product(range(1, 6), repeat=depth)
+        if sum(comp) <= 5
+    )
+    weights = [Polynomial.constant(1), x, 3 * x ** 2 - 5 * x + 2, (x - 1) ** 3 / 2]
+    for F in weights:
+        for t in range(4):
+            yield sum_power(F, t)
+            yield sum_power_shifted(F, t)
+        for factors in ([(1, 1), (2, 1)], [(2, 2)], [(1, 2), (3, 1)]):
+            yield sum_product(F, factors)
+
+
+def test_renders_are_pinned():
+    digest = hashlib.sha256()
+    for form in _pinned_forms():
+        for fmt in ("text", "latex", "json"):
+            digest.update(form.render(fmt).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "1b6b1308c72df576a3955ffe976433bd622b163419949e3f4183eb11357c8ae3"
     )
 
 

@@ -135,6 +135,9 @@ def test_latex_rendering():
     assert (x / 2).latex() == r"\frac{1}{2}n"
     assert (x ** 2).latex() == "n^{2}"
     assert (-x / 2 + 1).latex() == r"-\frac{1}{2}n+1"
+    assert Polynomial.zero().latex() == "0"
+    assert Polynomial.constant(7).latex() == "7"
+    assert Polynomial.constant(-7).latex() == "-7"
 
 
 def test_discrete_sum_known_values():
