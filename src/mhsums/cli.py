@@ -75,8 +75,9 @@ def _tokenize(text: str):
 MAX_NESTING = 100
 
 # Input sizes, checked before any work starts.  A weight of degree d and an
-# inner power t cost 2**(t - 1) walks at degree d (see MAX_WALK_COST); a
-# polynomial power also costs one product per unit of its exponent.
+# inner power t are estimated at 2**(t - 1) walks at degree d (see
+# MAX_WALK_COST); a polynomial power also costs one product per unit of its
+# exponent.
 MAX_DEGREE = 100  # degree of the weight, any exponent in it, -p, |--comp entry|
 MAX_POWER = 12  # --power, and the summed multiplicities of --factors
 # A constant's cost grows with its size; (9^100)^100 has 31,700 bits.
@@ -96,12 +97,16 @@ MAX_BERNOULLI = 1_000  # bernoulli --max
 # timings, the estimate n**2 * w_last + n**3 * sum(w**2) / 5000 at this
 # limit takes at most about 4 s on a 2-vCPU VM.
 MAX_EVAL_COST = 400_000_000  # eval, see _eval_cost
-# reduce, sum and check walk each composition by summation by parts (see
-# ``reducer``): step i, at a weight of degree d, sums about d**2 products of
-# numbers that grow with i.  Fitted to timed reduce and sum runs, a step costs
+# reduce walks its composition by summation by parts (see ``reducer``): step
+# i, at a weight of degree d, sums about d**2 products of numbers that grow
+# with i.  Fitted to timed reduce and sum runs, a step costs
 # (d + 1)**2.8 * (i + 1)**0.9 + 3000 units of about 11 ns on a 2-vCPU VM; the
-# costliest accepted inputs found take 5 s, and 6.4 s for reduce --method
-# both, which also runs the direct formula at about the same cost.
+# costliest accepted reduce inputs found take 3.3 to 4 s, and 6.4 s with
+# --method both, which also runs the direct formula at about the same cost.
+# sum and check are still estimated as one such walk per composition of
+# their product, as they ran before ``sums`` merged its levels.  That is now
+# an upper estimate for them, kept unchanged, so that they accept and refuse
+# the same inputs as before.
 MAX_WALK_COST = 300_000_000  # reduce, sum and check, see _walk_cost
 MAX_VERIFY_N = 200  # verify --max-n
 MAX_TABLE_WEIGHT = 12  # table --weight-max, which lists 2**w compositions
@@ -352,11 +357,13 @@ def _parse_factors(text: str) -> "list[tuple[int, int]]":
         part = part.strip()
         if not part:
             raise ValueError("empty factor entry")
-        if "^" in part:
-            order_text, _, mult_text = part.partition("^")
-            factors.append((int(order_text), int(mult_text)))
-        else:
-            factors.append((int(part), 1))
+        order_text, caret, mult_text = part.partition("^")
+        try:
+            factors.append((int(order_text), int(mult_text) if caret else 1))
+        except ValueError:
+            raise ValueError(
+                f"--factors entry {part!r} must be ORDER or ORDER^MULT"
+            ) from None
     return factors
 
 

@@ -144,6 +144,16 @@ def _reduce(p: int, comp: "tuple[int, ...]") -> ClosedForm:
     return _by_parts({comp: 1}, [0] * p + [1])
 
 
+def _power_sum(G) -> list:
+    """Ascending coefficients of the power sum of the weight with ascending
+    coefficients ``G``, from Faulhaber's polynomials."""
+    S: list = []
+    for q, g in enumerate(G):
+        if g:
+            _muladd(S, faulhaber(q).coeffs, (g,))
+    return S
+
+
 def _by_parts(comb, weight) -> ClosedForm:
     """Closed form of sum_{m=1..n} G(m) * (the combination ``comb`` of
     H_{m-1} sums), with G given by its ascending coefficients ``weight``:
@@ -154,10 +164,7 @@ def _by_parts(comb, weight) -> ClosedForm:
         for i in range(len(comp) + 1):
             if not c or not any(G):
                 break
-            S: list = []
-            for q, g in enumerate(G):
-                if g:
-                    _muladd(S, faulhaber(q).coeffs, (g,))
+            S = _power_sum(G)
             out.add(comp[i:], S, c)
             if i < len(comp):
                 k = comp[i]

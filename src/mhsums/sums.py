@@ -1,12 +1,25 @@
 """Closed forms for weighted sums of powers and products of harmonic numbers.
 
-``sum_power`` turns sum_{m=1..n} F(m) * H_{m-1}**t into a flat closed form:
-the power expands through the quasi-shuffle algebra, and the reducer's
-summation by parts turns F(m) times each piece into proper sums.
+``sum_power`` turns sum_{m=1..n} F(m) * H_{m-1}**t into a flat closed form
+by summation by parts on the power itself, level by level.  Write
+T_u(G) = sum_{m<=n} G(m) H_{m-1}**u and let S = s_1 x + s_2 x**2 + ... be
+the power sum of G.  Since H_m**u - H_{m-1}**u = sum_{j=1..u} C(u, j)
+m**-j H_{m-1}**(u-j),
+
+    T_u(G) = S(n) H_n**u - sum_{j=1..u} C(u, j) sum_m S(m) m**-j H_{m-1}**(u-j).
+
+The polynomial part sum_{i>=j} s_i m**(i-j) of S(m) m**-j is a weight for
+level u - j, and each tail s_i m**-(j-i), 0 < i < j, sums to
+s_i H_n(j-i, c) for every composition c of H_n**(u-j) (``expand_power``).
+The step is linear in G, so every path to a level merges into one weight:
+t + 1 power sums instead of one walk per composition of the expanded
+power.  ``sum_product`` does the same over products of depth-one sums,
+e.g. H_{m-1} * H_{m-1}(2): a state is the vector of multiplicities per
+distinct order, and a step from v to w < v carries -prod_i C(v_i, w_i) and
+the shift J = sum_i k_i (v_i - w_i).  Every state is visited once, from the
+top down, and all of them add into one accumulator.
 ``sum_power_shifted`` handles the H_m (unshifted-argument) variant via
 sum_{m=0..n} F(m) H_m**t = F(n) H_n**t + sum_{m=1..n} F(m-1) H_{m-1}**t.
-``sum_product`` generalizes the inner factor to any product of depth-one
-sums, e.g. H_{m-1} * H_{m-1}(2).
 
 ``structured_form`` produces the presentations with explicit H_n-power
 blocks (squares, cubes, the H*H(2) product, and fourth powers with a general
@@ -19,13 +32,15 @@ block: depth below t and coefficient degree at most deg(F) + 1.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import bernoulli, umbral_eval
 from .closedform import ClosedForm, _Accumulator
-from .polynomial import Polynomial, discrete_sum
-from .reducer import _by_parts, _check_power, c_poly, d_umbral, faulhaber
+from .polynomial import Polynomial, _muladd, discrete_sum
+from .reducer import _check_power, _power_sum, c_poly, d_umbral, faulhaber
 from .stuffle import expand_power, product_combinations
 
 __all__ = [
@@ -48,7 +63,9 @@ def _check_weight(F: Polynomial) -> None:
 def sum_power(F: Polynomial, t: int) -> ClosedForm:
     """Closed form of sum_{m=1..n} F(m) * H_{m-1}**t."""
     _check_weight(F)
-    return _by_parts(expand_power(1, t), F.coeffs)
+    if not isinstance(t, int) or t < 0:
+        raise ValueError("the power must be a nonnegative integer")
+    return _levels(F.coeffs, ((1, t),))
 
 
 def sum_power_shifted(F: Polynomial, t: int) -> ClosedForm:
@@ -63,17 +80,68 @@ def sum_power_shifted(F: Polynomial, t: int) -> ClosedForm:
 def sum_product(F: Polynomial, factors: "list[tuple[int, int]]") -> ClosedForm:
     """Closed form of sum_{m=1..n} F(m) * prod_i H_{m-1}(order_i)**mult_i.
 
-    ``factors`` lists (order, multiplicity) pairs.
+    ``factors`` lists (order, multiplicity) pairs; repeated orders merge.
     """
     _check_weight(F)
-    comb = {(): Fraction(1)}
+    powers: "dict[int, int]" = {}
     for order, mult in factors:
         if not isinstance(order, int) or order < 1:
             raise ValueError("factor orders must be positive integers")
         if not isinstance(mult, int) or mult < 1:
             raise ValueError("factor multiplicities must be positive integers")
-        comb = product_combinations(comb, expand_power(order, mult))
-    return _by_parts(comb, F.coeffs)
+        powers[order] = powers.get(order, 0) + mult
+    return _levels(F.coeffs, tuple(powers.items()))
+
+
+def _levels(weight, powers) -> ClosedForm:
+    """Closed form of sum_{m=1..n} G(m) * prod_i H_{m-1}(k_i)**e_i, with G
+    given by its ascending coefficients ``weight`` and ``powers`` the pairs
+    (k_i, e_i) of distinct orders: summation by parts level by level, one
+    merged weight per vector of exponents (see the module docstring)."""
+    out = _Accumulator()
+    if not any(weight):
+        return out.freeze()
+    orders = [k for k, _ in powers]
+    # descending lexicographic order: every state comes before those below it
+    states = list(itertools.product(*(range(e, -1, -1) for _, e in powers)))
+    combs = {}  # state -> its product of H_{m-1} powers, as a combination
+    for v in reversed(states):
+        nonzero = [i for i, e in enumerate(v) if e]
+        if not nonzero:
+            combs[v] = {(): Fraction(1)}
+            continue
+        i = nonzero[-1]
+        power = expand_power(orders[i], v[i])
+        if len(nonzero) > 1:  # the state without its last order, times this
+            power = product_combinations(combs[v[:i] + (0,) * (len(v) - i)], power)
+        combs[v] = power
+    polys = {states[0]: list(weight)}  # state -> polynomial part of its weight
+    tails = {}  # state -> {r: coefficient of m**-r in its weight}
+    for v in states:
+        comb = combs[v]
+        for r, c in tails.pop(v, {}).items():
+            if c:
+                for comp, cc in comb.items():
+                    out.add((r,) + comp, (c,), cc)
+        G = polys.pop(v, ())
+        if not any(G):
+            continue
+        S = _power_sum(G)
+        for comp, cc in comb.items():
+            out.add(comp, S, cc)
+        # each lower state w takes -prod C(v_i, w_i) * S(m) * m**-J: the
+        # polynomial part as weight, the negative powers as tails
+        for w in itertools.product(*(range(e + 1) for e in v)):
+            if w == v:
+                continue
+            factor = -math.prod(map(math.comb, v, w))
+            J = sum(k * (a - b) for k, a, b in zip(orders, v, w))
+            _muladd(polys.setdefault(w, []), S[J:], (factor,))
+            lower = tails.setdefault(w, {})
+            for i in range(1, min(J, len(S))):
+                if S[i]:
+                    lower[J - i] = lower.get(J - i, 0) + factor * S[i]
+    return out.freeze()
 
 
 # --------------------------------------------------------------- structured

@@ -307,6 +307,18 @@ def test_reduce_usage_errors(capsys):
             ["sum", "--poly", "m", "--factors", "1", "--shifted"],
             "--shifted requires --power",
         ),
+        (
+            ["sum", "--poly", "m", "--factors", "1^"],
+            "--factors entry '1^' must be ORDER or ORDER^MULT",
+        ),
+        (
+            ["sum", "--poly", "m", "--factors", "1^1,x"],
+            "--factors entry 'x' must be ORDER or ORDER^MULT",
+        ),
+        (
+            ["sum", "--poly", "m", "--factors", "1^1^2"],
+            "--factors entry '1^1^2' must be ORDER or ORDER^MULT",
+        ),
     ],
 )
 def test_usage_errors_one_line(argv, message, capsys):

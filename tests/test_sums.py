@@ -7,8 +7,9 @@ from mhsums.bernoulli import bernoulli, umbral_eval
 from mhsums.closedform import ClosedForm
 from mhsums.oracle import harmonic, mhs_eval
 from mhsums.polynomial import Polynomial, discrete_sum
-from mhsums.reducer import reduce
-from mhsums.stuffle import expand_power
+from mhsums.cli import MAX_POWER
+from mhsums.reducer import _by_parts, reduce
+from mhsums.stuffle import expand_power, product_combinations
 from mhsums.sums import (
     structure_check,
     structured_form,
@@ -77,6 +78,40 @@ def test_sum_product_against_brute_force():
 def test_sum_product_equals_power_route():
     for t in range(1, 4):
         assert sum_product(x, [(1, t)]) == sum_power(x, t)
+
+
+def test_levels_match_by_parts():
+    # the level recursion against one walk per composition of the product
+    dense = Polynomial([Fraction(k % 7 - 3, k % 4 + 1) for k in range(9)])
+    weights = (one, x, 3 * x * x - 5 * x + 2, x ** 5 - x / 3, dense)
+    for F in weights:
+        for t in range(8):
+            assert sum_power(F, t) == _by_parts(expand_power(1, t), F.coeffs)
+    factor_lists = (
+        [(1, 1), (1, 2)],
+        [(2, 1), (3, 2)],
+        [(1, 2), (2, 2)],
+        [(1, 1), (2, 1), (3, 1)],
+        [(2, 3)],
+        [(3, 1), (1, 2)],
+    )
+    for factors in factor_lists:
+        comb = {(): Fraction(1)}
+        for order, mult in factors:
+            comb = product_combinations(comb, expand_power(order, mult))
+        for F in weights:
+            assert sum_product(F, factors) == _by_parts(comb, F.coeffs)
+    F = weights[2]
+    assert sum_product(F, [(2, 1), (2, 1)]) == sum_product(F, [(2, 2)])
+    assert sum_product(F, [(1, 1), (1, 2)]) == sum_power(F, 3)
+
+
+def test_high_powers_against_brute_force():
+    F = x * x - 3 * x + 1
+    for t in range(8, MAX_POWER + 1):
+        cf = sum_power(F, t)
+        for n in range(11):
+            assert cf.eval(n) == brute_power(F, t, n)
 
 
 def test_sum_validation():
