@@ -6,15 +6,20 @@ The package reduces sums of the shape
 
 to polynomial-coefficient combinations of multiple harmonic sums at n, and
 builds on that to evaluate sums like sum F(m) * H_{m-1}^t for polynomial
-weights F.  All arithmetic is exact (``fractions.Fraction``).
+weights F.  All arithmetic is exact (``fractions.Fraction``).  Results are
+memoized for the life of the process; ``clear_caches`` frees them.
 """
 
+from . import bernoulli as _bernoulli
+from . import oracle as _oracle
 from .bernoulli import BernoulliTable, bernoulli, check_twoBs, umbral_eval
 from .closedform import ClosedForm
 from .oracle import harmonic, is_proper, mhs_eval, mhs_values
 from .polynomial import Polynomial, discrete_sum
-from .reducer import c_poly, d_umbral, faulhaber, reduce, reduce_direct
-from .stuffle import composition_key, expand_power, product_combinations, stuffle
+from .reducer import _c_poly, _reduce, c_poly, d_umbral, faulhaber, reduce
+from .reducer import reduce_direct
+from .stuffle import _expand_power, _stuffle, composition_key, expand_power
+from .stuffle import product_combinations, stuffle
 from .sums import (
     StructuredForm,
     StructureReport,
@@ -29,6 +34,24 @@ from .verify import run_table, run_verify
 
 __version__ = "0.1.0"
 
+# the memos themselves, taken before anything can wrap the public names
+_MEMOS = (faulhaber, _c_poly, _reduce, _stuffle, _expand_power)
+
+
+def clear_caches() -> None:
+    """Empty every memo and table: the five ``lru_cache`` memos of the
+    reducer and the stuffle, the direct evaluator's tables and the shared
+    Bernoulli table.  Results stay the same; they are computed again when
+    next needed."""
+    for memo in _MEMOS:
+        memo.cache_clear()
+    with _oracle._lock:
+        _oracle._cache.clear()
+    table = _bernoulli._SHARED
+    with table._lock:
+        del table._minus[1:]
+
+
 __all__ = [
     "BernoulliTable",
     "ClosedForm",
@@ -38,6 +61,7 @@ __all__ = [
     "bernoulli",
     "c_poly",
     "check_twoBs",
+    "clear_caches",
     "composition_key",
     "d_umbral",
     "discrete_sum",

@@ -116,7 +116,10 @@ MAX_TABLE_N = 10_000  # table --n; table --p-max is bounded by MAX_DEGREE
 # costs its walk plus 3000 + 400 * (p + 1)**1.5 * (w + 1) for the rest of
 # reduce and the evaluation, and an oracle table costs 1200 per value plus
 # MAX_EVAL_COST's estimate of its bits.  The costliest accepted tables found
-# take 2.6 to 5.8 s on a 2-vCPU VM.
+# take 2.6 to 5.8 s on a 2-vCPU VM.  The term for the evaluation was fitted
+# when ClosedForm.eval ran Horner's scheme on Fraction values; it now runs on
+# ints over one denominator, so the term overrates it.  It is kept unchanged,
+# so that table accepts and refuses the same inputs as before.
 MAX_TABLE_COST = 400_000_000  # table, see _table_cost
 
 

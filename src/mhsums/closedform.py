@@ -14,6 +14,15 @@ with the polynomial kernel and is frozen once, building each coefficient
 ``-``, ``scale`` and the reducer and sums modules all go through it; the
 ``ClosedForm`` they return stays immutable.
 
+Evaluation reads the form over one denominator: D is the lcm of every
+coefficient denominator, and each term's coefficients become the integers
+c * D, highest degree first.  At each n, Horner's scheme runs on those ints,
+each product with H_n(comp) is brought to the lcm L of the H values'
+denominators at n, and a single ``Fraction`` is built over L * D
+(``polynomial._horner_sum``).  ``values(max_n)`` reads each term's H values
+from one table of the direct evaluator, fetched once per call with
+``mhs_values``; ``eval(n)`` runs the same kernel at one n with ``mhs_eval``.
+
 Terms render and serialize in one canonical order (weight, then depth, then
 lexicographic entries), so every emitter is deterministic.
 """
@@ -24,8 +33,9 @@ import json
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .oracle import is_proper, mhs_eval
-from .polynomial import _FORMATS, Polynomial, _coefficients, _muladd, _render
+from .oracle import is_proper, mhs_eval, mhs_values
+from .polynomial import _FORMATS, Polynomial, _coefficients, _horner_sum
+from .polynomial import _integer_rows, _muladd, _render
 from .polynomial import join_signed
 from .stuffle import composition_key
 
@@ -159,10 +169,17 @@ class ClosedForm:
     def eval(self, n: int) -> Fraction:
         """Exact value at upper limit n, using the direct evaluator for each
         basis composition."""
-        acc = Fraction(0)
-        for comp, poly in self._terms.items():
-            acc += poly.eval(n) * mhs_eval(n, comp)
-        return acc
+        den, rows = _integer_rows([poly.coeffs for poly in self._terms.values()])
+        return _horner_sum(rows, [mhs_eval(n, comp) for comp in self._terms], n, den)
+
+    def values(self, max_n: int) -> "list[Fraction]":
+        """The list [C(0), C(1), ..., C(max_n)], reading each basis
+        composition's values from one table of the direct evaluator."""
+        den, rows = _integer_rows([poly.coeffs for poly in self._terms.values()])
+        tables = [mhs_values(max_n, comp) for comp in self._terms]
+        return [
+            _horner_sum(rows, [t[n] for t in tables], n, den) for n in range(max_n + 1)
+        ]
 
     # ------------------------------------------------------------- rendering
 

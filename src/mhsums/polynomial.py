@@ -6,9 +6,11 @@ construction, so equality is plain structural comparison and the zero
 polynomial has an empty coefficient tuple (degree -1 by convention).  Every
 operation is exact; nothing in this package ever rounds.  All coefficient
 arithmetic, here and in the closed-form accumulator, runs through one
-multiply-add kernel, ``_muladd``, and all text and LaTeX output, here, in
-closed forms and on the command line, is written from one format table,
-``_FORMATS``.
+multiply-add kernel, ``_muladd``.  Every evaluation, here and of closed
+forms, runs Horner's scheme on integer numerators over one common
+denominator (``_integer_rows``, ``_horner_sum``) and builds one ``Fraction``
+per value.  All text and LaTeX output, here, in closed forms and on the
+command line, is written from one format table, ``_FORMATS``.
 """
 
 from __future__ import annotations
@@ -145,12 +147,19 @@ class Polynomial:
     # ------------------------------------------------------------ operations
 
     def eval(self, x: Scalar) -> Fraction:
-        """Value at x by Horner's scheme."""
-        x = _frac(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Value at x by Horner's scheme: on ints over one denominator
+        (``_horner_sum``) when x is an integer, on ``Fraction`` values
+        otherwise."""
+        if not isinstance(x, int):
+            x = _frac(x)
+            if x.denominator != 1:
+                acc = Fraction(0)
+                for c in reversed(self.coeffs):
+                    acc = acc * x + c
+                return acc
+            x = x.numerator
+        den, rows = _integer_rows((self.coeffs,))
+        return _horner_sum(rows, _ONE, x, den)
 
     def shift(self, c: Scalar) -> "Polynomial":
         """The composed polynomial x |-> P(x + c), by Horner's rule in x + c."""
@@ -234,6 +243,38 @@ def _coefficients(value: object) -> "tuple[Scalar, ...] | None":
     if isinstance(value, (int, Fraction)):
         return (value,)
     return None
+
+
+def _integer_rows(rows) -> "tuple[int, list[list[int]]]":
+    """``(D, integer rows)`` of ascending ``Fraction`` coefficient rows: D is
+    the lcm of every denominator in them, and each row becomes its
+    coefficients times D, as ints, highest degree first (Horner's order)."""
+    # lcm of a list, here and in _horner_sum: unpacking a generator builds an
+    # oversized tuple and shrinks it, which filled the tuple free lists and
+    # raised verify's peak memory by about 1 MB
+    den = math.lcm(*[c.denominator for row in rows for c in row])
+    return den, [
+        [c.numerator * (den // c.denominator) for c in reversed(row)] for row in rows
+    ]
+
+
+def _horner_sum(rows: "list[list[int]]", weights, x: int, den: int) -> Fraction:
+    """sum_i P_i(x) * weights[i] for an integer x, as one ``Fraction``.
+
+    Row i holds the integer coefficients of den * P_i, highest degree first
+    (``_integer_rows``), and the weights are rationals.  Horner's scheme runs
+    on ints; each product is brought to the lcm L of the weights'
+    denominators, and the one ``Fraction`` is built over L * den.
+    """
+    lcm = math.lcm(*[w.denominator for w in weights])
+    total = 0
+    for row, w in zip(rows, weights):
+        if w:
+            acc = 0
+            for c in row:
+                acc = acc * x + c
+            total += acc * w.numerator * (lcm // w.denominator)
+    return Fraction(total, lcm * den)
 
 
 _ONE = (1,)

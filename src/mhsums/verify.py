@@ -71,7 +71,7 @@ def form_mismatch(a: ClosedForm, b: ClosedForm) -> "tuple[str, str] | None":
     if a == b:
         return None
     differ = ", ".join(_comp_str(comp) for comp, _ in (a - b).terms)
-    agree = all(a.eval(n) == b.eval(n) for n in range(51))
+    agree = a.values(50) == b.values(50)
     return (
         f"compositions whose coefficients differ: {differ}",
         f"evaluations for n <= 50 {'agree' if agree else 'differ'}",
@@ -84,12 +84,12 @@ def _forms_agree(what: str, a: ClosedForm, b: ClosedForm):
 
 
 def _matches_direct(closed: ClosedForm, direct, max_n: int):
-    """Compare closed.eval(n) with direct[n] for n = 0..max_n; max_n = 0
-    means "check nothing", an explicitly empty evaluation range."""
-    for n in range(max_n + 1) if max_n > 0 else ():
-        got = closed.eval(n)
-        if got != direct[n]:
-            return False, f"n={n}: closed {got} != direct {direct[n]}"
+    """Compare closed.values(max_n)[n] with direct[n] for n = 0..max_n;
+    max_n = 0 means "check nothing", an explicitly empty evaluation range."""
+    if max_n > 0:
+        for n, got in enumerate(closed.values(max_n)):
+            if got != direct[n]:
+                return False, f"n={n}: closed {got} != direct {direct[n]}"
     return True, ""
 
 

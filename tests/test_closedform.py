@@ -60,6 +60,53 @@ def test_eval():
     assert SAMPLE.eval(n) == want
 
 
+def fraction_horner(poly, n):
+    acc = Fraction(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * n + c
+    return acc
+
+
+def reference_value(form, n):
+    return sum(
+        (fraction_horner(poly, n) * mhs_eval(n, comp) for comp, poly in form.terms),
+        Fraction(0),
+    )
+
+
+# negative and non-integer coefficients; depths up to 4, so past n for small n
+kernel_forms = st.dictionaries(
+    st.lists(st.integers(1, 3), max_size=4).map(tuple),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=4).map(
+        Polynomial
+    ),
+    max_size=4,
+).map(ClosedForm)
+
+
+@given(kernel_forms, st.integers(0, 200))
+def test_values_and_eval_match_fraction_reference(form, N):
+    values = form.values(N)
+    assert len(values) == N + 1
+    for n in sorted({0, 1, 2, 3, N // 2, N - 1, N} & set(range(N + 1))):
+        want = reference_value(form, n)
+        assert values[n] == want
+        assert form.eval(n) == want
+
+
+def test_values_edge_cases():
+    assert ClosedForm().values(30) == [0] * 31
+    assert ClosedForm().eval(7) == 0
+    assert SAMPLE.values(0) == [SAMPLE.eval(0)] == [0]
+    deep = ClosedForm({(1, 1, 1): Fraction(-3, 4) * x + Fraction(1, 6), (): x})
+    assert deep.values(5)[:3] == [0, 1, 2]
+    assert deep.values(40) == [reference_value(deep, n) for n in range(41)]
+    # a form whose coefficients share a denominator with the harmonic sums
+    form = ClosedForm({(1,): Fraction(1, 6) * x * x, (2,): Fraction(-5, 12), (): 1})
+    assert form.values(60) == [reference_value(form, n) for n in range(61)]
+    assert [form.eval(n) for n in range(61)] == form.values(60)
+
+
 def test_arithmetic():
     doubled = SAMPLE + SAMPLE
     assert doubled == SAMPLE.scale(2)

@@ -107,6 +107,32 @@ def test_shift(p, c, n):
     assert p.shift(c).eval(n) == p.eval(n + c)
 
 
+def fraction_horner(p, v):
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * v + c
+    return acc
+
+
+@given(polys, st.one_of(points, st.fractions()))
+def test_eval_matches_fraction_horner(p, v):
+    got = p.eval(v)
+    assert isinstance(got, Fraction)
+    assert got == fraction_horner(p, Fraction(v))
+
+
+def test_eval_edge_cases():
+    assert Polynomial().eval(5) == 0
+    assert Polynomial().eval(Fraction(1, 3)) == 0
+    assert Polynomial.constant(Fraction(-2, 3)).eval(Fraction(7, 5)) == Fraction(-2, 3)
+    p = Fraction(1, 6) * x**3 - Fraction(3, 4) * x + 2
+    assert p.eval(-4) == Fraction(-17, 3)
+    assert p.eval(Fraction(4, 1)) == p.eval(4) == Fraction(29, 3)
+    assert p.eval(Fraction(-1, 2)) == Fraction(113, 48)
+    with pytest.raises(TypeError):
+        p.eval(0.5)
+
+
 def test_derivative():
     p = 3 * x ** 2 - 5 * x + 2
     assert p.derivative() == 6 * x - 5

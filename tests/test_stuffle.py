@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhsums.oracle import mhs_eval
+import mhsums
+from mhsums.bernoulli import _SHARED
+from mhsums.oracle import _cache, mhs_eval
+from mhsums.polynomial import Polynomial
+from mhsums.reducer import _c_poly, _reduce, faulhaber
 from mhsums.stuffle import (
+    _expand_power,
+    _stuffle,
     composition_key,
     expand_power,
     product_combinations,
@@ -120,3 +126,25 @@ def test_power_homomorphism_random():
         lhs = mhs_eval(n, (k,)) ** t
         rhs = sum(c * mhs_eval(n, comp) for comp, c in expand_power(k, t).items())
         assert lhs == rhs
+
+
+def test_clear_caches_empties_every_memo():
+    m = Polynomial.variable()
+
+    def results():
+        return (
+            mhsums.sum_product(m, [(2, 2), (4, 2)]),
+            mhsums.reduce(6, (2, 1, 1)),
+            mhsums.c_poly(4, (1, 2)),
+            mhs_eval(30, (2, 1)),
+        )
+
+    before = results()
+    memos = (faulhaber, _c_poly, _reduce, _stuffle, _expand_power)
+    assert all(memo.cache_info().currsize for memo in memos) and _cache
+    mhsums.clear_caches()
+    assert [memo.cache_info().currsize for memo in memos] == [0] * 5
+    assert _cache == {}
+    assert _SHARED._minus == [1]
+    assert results() == before
+    assert "clear_caches" in mhsums.__all__
