@@ -8,6 +8,7 @@ produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -565,9 +566,15 @@ _ACTIONS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused after it:
+    building takes about 20 times as long as parsing one command line."""
+    return build_parser()
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # Exact results can have more digits than the interpreter's int-to-str
     # guard allows (4300 by default).  Lift it for this call only, so that
     # library callers in the same process see no change.

@@ -4,13 +4,16 @@ Coefficients are ``fractions.Fraction`` values stored densely: index ``i``
 holds the coefficient of ``x**i``.  Trailing zeros are trimmed on
 construction, so equality is plain structural comparison and the zero
 polynomial has an empty coefficient tuple (degree -1 by convention).  Every
-operation is exact; nothing in this package ever rounds.  All coefficient
+operation is exact; nothing in this package ever rounds.  Coefficient
 arithmetic, here and in the closed-form accumulator, runs through one
-multiply-add kernel, ``_muladd``.  Every evaluation, here and of closed
-forms, runs Horner's scheme on integer numerators over one common
-denominator (``_integer_rows``, ``_horner_sum``) and builds one ``Fraction``
-per value.  All text and LaTeX output, here, in closed forms and on the
-command line, is written from one format table, ``_FORMATS``.
+multiply-add kernel, ``_muladd``; it also adds the integer rows of the
+reducer's power sums and of ``discrete_sum``'s binomial basis.  Only the
+reducer's Bernoulli chain keeps integer states of its own.  Every
+evaluation, here and of closed forms, runs Horner's scheme on integer
+numerators over one common denominator (``_integer_rows``, ``_horner_sum``)
+and builds one ``Fraction`` per value.  All text and LaTeX output, here, in
+closed forms and on the command line, is written from one format table,
+``_FORMATS``.
 """
 
 from __future__ import annotations
@@ -304,14 +307,6 @@ def _muladd(row: list, a, b) -> list:
     return row
 
 
-def _binomial_upper(k: int) -> Polynomial:
-    """The binomial coefficient C(x + 1, k) as a polynomial in x."""
-    out = Polynomial.constant(Fraction(1, math.factorial(k)))
-    for i in range(k):
-        out = out * Polynomial((1 - i, 1))
-    return out
-
-
 def discrete_sum(F: Polynomial) -> Polynomial:
     """Summation polynomial S with S(n) = F(1) + ... + F(n); S(0) = 0.
 
@@ -323,15 +318,17 @@ def discrete_sum(F: Polynomial) -> Polynomial:
     d = F.degree
     if d < 0:
         return Polynomial()
-    samples = [F.eval(i) for i in range(d + 1)]
-    out = Polynomial.constant(-samples[0])
-    row = samples
+    row = [F.eval(i) for i in range(d + 1)]
+    out = [-row[0]]
+    falling = [1]  # (x + 1) x ... (x + 2 - j), integer coefficients
     j = 0
     while row:
         # row[0] is the j-th forward difference of F at 0, and
-        # sum_{m=0..n} C(m, j) telescopes to C(n + 1, j + 1).
+        # sum_{m=0..n} C(m, j) telescopes to C(n + 1, j + 1), which is the
+        # next falling product over (j + 1)!
+        falling = _muladd([], falling, (1 - j, 1))
         if row[0]:
-            out = out + _binomial_upper(j + 1) * row[0]
+            _muladd(out, falling, (row[0] / math.factorial(j + 1),))
         row = [b - a for a, b in zip(row, row[1:])]
         j += 1
-    return out
+    return Polynomial(out)

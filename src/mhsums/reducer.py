@@ -36,7 +36,15 @@ listing every j-tuple; the cost is polynomial in p and the depth.
 behind ``reduce`` reads them from Faulhaber's polynomials; neither uses the
 chain helper, so that the two reduction routes stay independent checks of
 each other.  Both routes sum their terms in the closed-form accumulator,
-which is only linear algebra over ``Fraction`` and holds no reduction logic.
+which holds no reduction logic.
+
+Where the time goes, the arithmetic runs on integers over one denominator.
+The chain's states are int numerators over a shared denominator; each step
+reads B_0..B_h once, as ints over their lcm (``_bernoulli_ints``), and
+``c_poly`` and ``reduce_direct`` make one ``Fraction`` per coefficient they
+hand out.  The power sums of the summation by parts (``_power_sum``) add
+Faulhaber's rows as ints over their lcm (``_faulhaber_ints``) and make one
+``Fraction`` per coefficient of the sum.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from functools import lru_cache
 from .bernoulli import bernoulli, umbral_eval
 from .closedform import ClosedForm, _Accumulator
 from .oracle import is_proper
-from .polynomial import Polynomial, _muladd
+from .polynomial import Polynomial, _integer_rows, _muladd
 
 __all__ = ["faulhaber", "c_poly", "d_umbral", "reduce", "reduce_direct"]
 
@@ -88,37 +96,59 @@ def c_poly(p: int, index: "tuple[int, ...]" = ()) -> Polynomial:
 
 
 def _chain_step(
-    states: "dict[int, Fraction]", d: int, h: int
-) -> "dict[int, Fraction]":
-    """One step of the Bernoulli-weighted binomial chain.
+    states: "dict[int, int]", den: int, d: int, h: int
+) -> "tuple[dict[int, int], int]":
+    """One step of the Bernoulli-weighted binomial chain, on integers.
 
-    ``states`` maps a partial sum s = j_1 + ... + j_i to the summed factor
-    products that reach it.  The step multiplies state s by
-    C(d - s, j) * B_j / (d - s) for 0 <= j <= h - s and merges the products
-    by s + j.  Later steps see only the partial sum, so merging is exact.
+    ``states`` maps a partial sum s = j_1 + ... + j_i to the numerator, over
+    the shared denominator ``den``, of the summed factor products that reach
+    it.  The step multiplies state s by C(d - s, j) * B_j / (d - s) for
+    0 <= j <= h - s and merges the products by s + j.  Later steps see only
+    the partial sum, so merging is exact.  Each state is scaled by
+    L / (d - s), with L the lcm of the live d - s, and B_0..B_h are read once
+    as integers over their lcm ``bden``; so the new states are ints over
+    ``den * L * bden``, reduced by their common gcd.
     """
-    out: "dict[int, Fraction]" = {}
+    out: "dict[int, int]" = {}
+    if h < 0:
+        return out, den
+    bden, brow = _bernoulli_ints(h)
+    lcm = math.lcm(*[d - s for s in states if s <= h])
     for s, acc in states.items():
         dd = d - s
         # every caller keeps h < d, so a factor is only ever taken with dd >= 1
         assert s > h or dd > 0
-        for j in range(h - s + 1):
-            b = bernoulli(j, "plus")
-            if b:
-                out[s + j] = out.get(s + j, 0) + acc * Fraction(math.comb(dd, j), dd) * b
-    return out
+        if s <= h:
+            acc *= lcm // dd
+            for j in range(h - s + 1):
+                b = brow[j]
+                if b:
+                    out[s + j] = out.get(s + j, 0) + acc * math.comb(dd, j) * b
+    den *= lcm * bden
+    g = math.gcd(den, *out.values())
+    if g > 1:
+        out = {s: acc // g for s, acc in out.items()}
+    return out, den // g
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_ints(h: int) -> "tuple[int, tuple[int, ...]]":
+    """``(bden, (B_0 * bden, ..., B_h * bden))`` in the plus convention, with
+    bden the lcm of the denominators."""
+    bden, (row,) = _integer_rows(([bernoulli(j, "plus") for j in range(h + 1)],))
+    return bden, tuple(reversed(row))
 
 
 @lru_cache(maxsize=None)
 def _c_poly(p: int, index: "tuple[int, ...]") -> Polynomial:
     subs = (0,) + index
     top = p + 1 - subs[-1]
-    states = {0: Fraction(1)}
+    states, den = {0: 1}, 1
     for a in subs:
-        states = _chain_step(states, p + 1 - a, top - 1)
-    coeffs = [Fraction(0)] * (top + 1)
+        states, den = _chain_step(states, den, p + 1 - a, top - 1)
+    coeffs = [0] * (top + 1)
     for s, acc in states.items():
-        coeffs[top - s] = acc
+        coeffs[top - s] = Fraction(acc, den)
     return Polynomial(coeffs)
 
 
@@ -146,12 +176,27 @@ def _reduce(p: int, comp: "tuple[int, ...]") -> ClosedForm:
 
 def _power_sum(G) -> list:
     """Ascending coefficients of the power sum of the weight with ascending
-    coefficients ``G``, from Faulhaber's polynomials."""
-    S: list = []
-    for q, g in enumerate(G):
-        if g:
-            _muladd(S, faulhaber(q).coeffs, (g,))
-    return S
+    coefficients ``G``, from Faulhaber's polynomials: summed on ints over
+    one denominator, one ``Fraction`` per coefficient."""
+    terms = [(q, g) for q, g in enumerate(G) if g]
+    if not terms:
+        return []
+    rows = [_faulhaber_ints(q) for q, _ in terms]
+    gden = math.lcm(*[g.denominator for _, g in terms])
+    fden = math.lcm(*[d for d, _ in rows])
+    total: "list[int]" = []
+    for (_, g), (d, row) in zip(terms, rows):
+        _muladd(total, row, (g.numerator * (gden // g.denominator) * (fden // d),))
+    den = gden * fden
+    return [Fraction(t, den) for t in total]
+
+
+@lru_cache(maxsize=None)
+def _faulhaber_ints(q: int) -> "tuple[int, tuple[int, ...]]":
+    """``(den, ascending coefficients of faulhaber(q) times den)`` as ints,
+    with den the lcm of the denominators."""
+    den, (row,) = _integer_rows((faulhaber(q).coeffs,))
+    return den, tuple(reversed(row))
 
 
 def _by_parts(comb, weight) -> ClosedForm:
@@ -192,16 +237,16 @@ def reduce_direct(p: int, comp: "tuple[int, ...]") -> ClosedForm:
     kw[r + 1] = kw[r] + 1  # the final, absorbed entry counts as 1
 
     out = _Accumulator()
-    prefix = {0: Fraction(1)}  # chain states over j_1, ..., j_{l-1}
+    prefix, den = {0: 1}, 1  # chain states over j_1, ..., j_{l-1}
     for l in range(1, r + 2):
         sign = -1 if l % 2 else 1  # (-1)**l
         d = p + l - kw[l - 1]  # power weight + 1, less the partial sum
-        states = _chain_step(prefix, d, d - 1)
+        states, den = _chain_step(prefix, den, d, d - 1)
         # leading block: polynomial coefficient times H(k_l, ..., k_r); at
         # l = r + 1 this is the final, pure polynomial block
-        lead = [Fraction(0)] * (d + 1)
+        lead = [0] * (d + 1)
         for s, acc in states.items():
-            lead[d - s] = acc
+            lead[d - s] = Fraction(acc, den)
         out.add(comp[l - 1 :], lead, -sign)
         # a partial sum past the next step's budget drops the first entry
         # below k_l (middle block); the others carry on as the next prefix
@@ -211,5 +256,5 @@ def reduce_direct(p: int, comp: "tuple[int, ...]") -> ClosedForm:
             if s <= budget:
                 prefix[s] = acc
             else:
-                out.add((kw[l] + s - l - p,) + comp[l:], (acc,), sign)
+                out.add((kw[l] + s - l - p,) + comp[l:], (Fraction(acc, den),), sign)
     return out.freeze()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -581,3 +582,38 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5/2"
+
+
+def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
+    # main builds its parser once per process; a usage error, a result and
+    # help in one process read the same as three fresh processes
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("NO_COLOR", "1")
+    runs = [
+        ["reduce", "-p", "x", "--comp", "1"],
+        ["reduce", "-p", "3", "--comp=2,1", "--method", "both"],
+        ["--help"],
+    ]
+    in_process = []
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    fresh = []
+    for argv in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mhsums", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ),
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in fresh] == [2, 0, 0]
+    assert in_process == fresh
+    # built on the first call, not at import
+    probe = "import mhsums.cli as c; print(c._parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.stdout == "0\n"

@@ -1,13 +1,18 @@
+import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhsums.bernoulli import bernoulli, umbral_eval
 from mhsums.closedform import ClosedForm
 from mhsums.oracle import mhs_eval, mhs_values
-from mhsums.polynomial import Polynomial, discrete_sum
-from mhsums.reducer import c_poly, d_umbral, faulhaber, reduce, reduce_direct
+from mhsums.polynomial import Polynomial, _muladd, discrete_sum
+from mhsums.reducer import _chain_step, _power_sum, c_poly, d_umbral, faulhaber
+from mhsums.reducer import reduce, reduce_direct
 from mhsums.verify import compositions_up_to
 
 x = Polynomial.variable()
@@ -49,7 +54,7 @@ def test_faulhaber_two_conventions_agree():
 
 def test_faulhaber_matches_discrete_sum():
     # independent route: Newton forward differences, no Bernoulli numbers
-    for p in range(9):
+    for p in range(41):
         assert faulhaber(p) == discrete_sum(x ** p)
 
 
@@ -380,3 +385,159 @@ def test_direct_depth_three_high_weight():
 def test_direct_rejects_empty():
     with pytest.raises(ValueError):
         reduce_direct(2, ())
+
+
+# ------------------------------------------ the integer chain and power sums
+#
+# Exact-arithmetic references on ``Fraction`` values: the chain step, the
+# leading-block polynomials and the three-block formula, with one product and
+# one sum per (state, j).  The three-block reference memoizes the states per
+# composition prefix, which is all they depend on.
+
+
+def fraction_chain_step(states, d, h):
+    out = {}
+    for s, acc in states.items():
+        dd = d - s
+        for j in range(h - s + 1):
+            b = bernoulli(j, "plus")
+            if b:
+                out[s + j] = out.get(s + j, 0) + acc * Fraction(comb(dd, j), dd) * b
+    return out
+
+
+def fraction_c_poly(p, index):
+    subs = (0,) + index
+    top = p + 1 - subs[-1]
+    states = {0: Fraction(1)}
+    for a in subs:
+        states = fraction_chain_step(states, p + 1 - a, top - 1)
+    coeffs = [Fraction(0)] * (top + 1)
+    for s, acc in states.items():
+        coeffs[top - s] = acc
+    return Polynomial(coeffs)
+
+
+@lru_cache(maxsize=None)
+def fraction_direct_states(p, head):
+    """States after the step that follows the composition prefix ``head``."""
+    l, w = len(head) + 1, sum(head)
+    prefix = {0: Fraction(1)}
+    if head:
+        budget = p + l - 1 - w
+        prefix = {s: a for s, a in fraction_direct_states(p, head[:-1]).items() if s <= budget}
+    return fraction_chain_step(prefix, p + l - w, p + l - w - 1)
+
+
+def fraction_reduce_direct(p, comp):
+    ext = comp + (1,)  # the final, absorbed entry counts as 1
+    terms = {}
+
+    def add(key, coeffs):
+        terms[key] = terms.get(key, Polynomial()) + Polynomial(coeffs)
+
+    for l in range(1, len(ext) + 1):
+        sign = (-1) ** l
+        d = p + l - sum(ext[: l - 1])
+        states = fraction_direct_states(p, ext[: l - 1])
+        lead = [Fraction(0)] * (d + 1)
+        for s, acc in states.items():
+            lead[d - s] = -sign * acc
+        add(comp[l - 1 :], lead)
+        for s, acc in states.items():
+            if s > p + l - sum(ext[:l]):
+                add((sum(ext[:l]) + s - l - p,) + comp[l:], [sign * acc])
+    return ClosedForm(terms)
+
+
+def as_fractions(states, den):
+    return {s: Fraction(acc, den) for s, acc in states.items()}
+
+
+def test_chain_step_matches_fraction_step():
+    # live and dead states (s > h, some with d - s <= 0), and h < 0
+    cases = [
+        ({0: 1}, 1, 5, 4),
+        ({0: 3, 1: -2, 2: 7}, 5, 9, 6),
+        ({0: 1, 2: 4, 5: 9, 7: 1}, 12, 7, 4),
+        ({1: 6, 3: -5}, 35, 8, 3),
+        ({0: 1}, 1, 3, -1),
+        ({0: 2, 4: 1}, 3, 2, -2),
+        ({}, 1, 6, 5),
+    ]
+    for states, den, d, h in cases:
+        out, out_den = _chain_step(states, den, d, h)
+        assert as_fractions(out, out_den) == fraction_chain_step(
+            as_fractions(states, den), d, h
+        ), (states, den, d, h)
+        # the same keys: a merged product that cancels keeps its slot
+        assert out.keys() == fraction_chain_step(as_fractions(states, den), d, h).keys()
+
+
+def test_c_poly_matches_fraction_chain():
+    for p in range(17):
+        for r in range(5):
+            for index in itertools.combinations_with_replacement(range(4), r):
+                assert c_poly(p, index) == fraction_c_poly(p, index), (p, index)
+    # subscripts past the power leave no live state
+    for p, index in ((0, (2,)), (2, (0, 4)), (3, (1, 5, 9))):
+        assert c_poly(p, index) == fraction_c_poly(p, index) == Polynomial()
+
+
+@settings(deadline=None)
+@given(
+    st.integers(17, 40),
+    st.lists(st.integers(0, 3), min_size=1, max_size=4).map(lambda a: tuple(sorted(a))),
+)
+def test_c_poly_matches_fraction_chain_high_powers(p, index):
+    assert c_poly(p, index) == fraction_c_poly(p, index)
+
+
+def test_reduce_direct_matches_fraction_formula():
+    cases = [
+        (p, comp)
+        for p in range(31)
+        for r in range(1, 3)
+        for comp in itertools.product(range(1, 5), repeat=r)
+    ]
+    cases += [
+        (p, comp)
+        for p in range(4)
+        for r in range(3, 6)
+        for comp in itertools.product(range(1, 5), repeat=r)
+    ]
+    # a step whose degree budget is gone (d <= 0): its chain is empty
+    cases += [(0, (5,)), (1, (4, 4)), (3, (9, 1, 1)), (2, (1, 6, 2))]
+    for p, comp in cases:
+        assert reduce_direct(p, comp) == fraction_reduce_direct(p, comp), (p, comp)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(4, 30),
+    st.lists(st.integers(1, 4), min_size=3, max_size=5).map(tuple),
+)
+def test_reduce_direct_matches_fraction_formula_deep(p, comp):
+    assert reduce_direct(p, comp) == fraction_reduce_direct(p, comp)
+
+
+weights = st.lists(
+    st.one_of(
+        st.integers(-50, 50),
+        st.fractions(min_value=-20, max_value=20, max_denominator=60),
+    ),
+    max_size=14,
+)
+
+
+@given(weights)
+def test_power_sum_matches_faulhaber_rows(G):
+    reference: list = []
+    for q, g in enumerate(G):
+        if g:
+            _muladd(reference, faulhaber(q).coeffs, (g,))
+    S = _power_sum(G)
+    assert S == reference
+    # _by_parts reads len(S), S[j] and S[k:]
+    assert len(S) == len(reference)
+    assert [bool(c) for c in S] == [bool(c) for c in reference]
