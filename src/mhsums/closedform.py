@@ -8,11 +8,13 @@ the direct evaluator (``mhsums.oracle``) serves as the semantic backstop in
 the tests.
 
 Every form is built in one private accumulator, ``_Accumulator``: a mutable
-map from compositions to coefficient lists that sums scaled terms in place
-with the polynomial kernel and is frozen once, building each coefficient
-``Polynomial`` and the ``ClosedForm`` a single time.  The constructor, ``+``,
-``-``, ``scale`` and the reducer and sums modules all go through it; the
-``ClosedForm`` they return stays immutable.
+map from compositions to rows of int numerators, each over a denominator
+of its own, brought to a new lcm only when a new denominator arrives
+(``polynomial._muladd_over``).  The reducer and the sums add their power
+sums as ints (``add_ints``); ``add`` and ``add_form`` take ints and
+``Fraction``s.  It is frozen once, with one ``Fraction`` per coefficient.
+The constructor, ``+``, ``-``, ``scale`` and the reducer and sums modules
+all go through it; the ``ClosedForm`` they return stays immutable.
 
 Evaluation reads the form over one denominator: D is the lcm of every
 coefficient denominator, and each term's coefficients become the integers
@@ -35,13 +37,15 @@ from typing import Iterable, Mapping, Union
 
 from .oracle import is_proper, mhs_eval, mhs_values
 from .polynomial import _FORMATS, Polynomial, _coefficients, _horner_sum
-from .polynomial import _integer_rows, _muladd, _render
+from .polynomial import _integer_rows, _muladd, _muladd_over, _render
 from .polynomial import join_signed
 from .stuffle import composition_key
 
 __all__ = ["ClosedForm", "term_json_obj"]
 
 Coefficient = Union[Polynomial, Fraction, int]
+
+_ZERO = Fraction(0)
 
 
 def _coeffs(value: Coefficient) -> "tuple[Fraction | int, ...]":
@@ -54,30 +58,49 @@ def _coeffs(value: Coefficient) -> "tuple[Fraction | int, ...]":
 
 
 class _Accumulator:
-    """Mutable map from compositions to coefficient lists, summed in place
-    by the polynomial kernel.  ``freeze`` builds the immutable result once.
+    """Mutable map from compositions to int rows over a denominator each,
+    summed in place by the polynomial kernel.  ``freeze`` builds the
+    immutable result once.
     """
 
     __slots__ = ("_rows",)
 
     def __init__(self):
-        self._rows: "dict[tuple[int, ...], list]" = {}
+        self._rows: "dict[tuple[int, ...], list]" = {}  # comp -> [den, ints]
 
     def add(self, comp: "tuple[int, ...]", coeffs, c: Coefficient = 1) -> None:
         """Add c times the polynomial with ascending ``coeffs`` to ``comp``."""
-        _muladd(self._rows.setdefault(comp, []), coeffs, _coeffs(c))
+        self._add_product(comp, coeffs, _coeffs(c))
 
     def add_form(self, form: "ClosedForm", c: Coefficient = 1) -> None:
         """Add c times every term of ``form``."""
         factors = _coeffs(c)
         for comp, poly in form._terms.items():
-            _muladd(self._rows.setdefault(comp, []), poly.coeffs, factors)
+            self._add_product(comp, poly.coeffs, factors)
+
+    def add_ints(self, comp: "tuple[int, ...]", nums, den: int, c=1) -> None:
+        """Add the rational c times the polynomial with ascending
+        coefficients nums / den, for ints nums and den > 0."""
+        den *= c.denominator
+        entry = self._rows.get(comp)
+        if entry is None:
+            entry = self._rows[comp] = [den, []]
+        _muladd_over(entry, nums, den, c.numerator)
+
+    def _add_product(self, comp, coeffs, factors) -> None:
+        """Add the product of two ascending rows of ints and ``Fraction``s."""
+        try:
+            aden, (a,) = _integer_rows((coeffs,))
+            bden, (b,) = _integer_rows((factors,))
+        except AttributeError:  # a float, say, has no denominator
+            raise TypeError("coefficients must be ints or Fractions") from None
+        self.add_ints(comp, _muladd([], a, b), aden * bden)
 
     def freeze(self) -> "ClosedForm":
         """The sum so far, with trailing zeros trimmed and zero rows dropped."""
         terms = {}
-        for comp, row in self._rows.items():
-            poly = Polynomial(row)
+        for comp, (den, row) in self._rows.items():
+            poly = Polynomial._of([Fraction(c, den) if c else _ZERO for c in row])
             if poly:
                 terms[comp] = poly
         out = ClosedForm.__new__(ClosedForm)

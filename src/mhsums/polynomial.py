@@ -6,10 +6,13 @@ construction, so equality is plain structural comparison and the zero
 polynomial has an empty coefficient tuple (degree -1 by convention).  Every
 operation is exact; nothing in this package ever rounds.  Coefficient
 arithmetic, here and in the closed-form accumulator, runs through one
-multiply-add kernel, ``_muladd``; it also adds the integer rows of the
-reducer's power sums and of ``discrete_sum``'s binomial basis.  Only the
-reducer's Bernoulli chain keeps integer states of its own.  Every
-evaluation, here and of closed forms, runs Horner's scheme on integer
+multiply-add kernel, ``_muladd``.  Where the time goes it runs on int
+numerators over one denominator (``_integer_rows``, ``_muladd_over``): the
+reducer's chain and power sums, the sums' levels, the closed-form
+accumulator and ``discrete_sum``.  Such a row becomes one ``Fraction`` per
+coefficient at the end, and a ``Polynomial`` through ``Polynomial._of``,
+which skips the public constructor's type checks.
+Every evaluation, here and of closed forms, runs Horner's scheme on integer
 numerators over one common denominator (``_integer_rows``, ``_horner_sum``)
 and builds one ``Fraction`` per value.  All text and LaTeX output, here, in
 closed forms and on the command line, is written from one format table,
@@ -45,6 +48,17 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _of(cls, coeffs: "list[Fraction]") -> "Polynomial":
+        """The polynomial with ascending ``coeffs``, a list of ``Fraction``
+        values the package built itself: no type checks; trailing zeros are
+        trimmed."""
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", tuple(coeffs))
+        return out
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -142,9 +156,13 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        out = Polynomial.constant(1)
-        for _ in range(n):
-            out = out * self
+        out, square = Polynomial.constant(1), self
+        while n:  # repeated squaring: a squaring per bit of n, a product per 1 bit
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     # ------------------------------------------------------------ operations
@@ -249,22 +267,22 @@ def _coefficients(value: object) -> "tuple[Scalar, ...] | None":
 
 
 def _integer_rows(rows) -> "tuple[int, list[list[int]]]":
-    """``(D, integer rows)`` of ascending ``Fraction`` coefficient rows: D is
-    the lcm of every denominator in them, and each row becomes its
-    coefficients times D, as ints, highest degree first (Horner's order)."""
+    """``(D, integer rows)`` of ascending int or ``Fraction`` coefficient
+    rows: D is the lcm of every denominator in them, and each row becomes its
+    coefficients times D, as ints, still ascending."""
     # lcm of a list, here and in _horner_sum: unpacking a generator builds an
     # oversized tuple and shrinks it, which filled the tuple free lists and
     # raised verify's peak memory by about 1 MB
     den = math.lcm(*[c.denominator for row in rows for c in row])
     return den, [
-        [c.numerator * (den // c.denominator) for c in reversed(row)] for row in rows
+        [c.numerator * (den // c.denominator) for c in row] for row in rows
     ]
 
 
 def _horner_sum(rows: "list[list[int]]", weights, x: int, den: int) -> Fraction:
     """sum_i P_i(x) * weights[i] for an integer x, as one ``Fraction``.
 
-    Row i holds the integer coefficients of den * P_i, highest degree first
+    Row i holds the ascending integer coefficients of den * P_i
     (``_integer_rows``), and the weights are rationals.  Horner's scheme runs
     on ints; each product is brought to the lcm L of the weights'
     denominators, and the one ``Fraction`` is built over L * den.
@@ -274,7 +292,7 @@ def _horner_sum(rows: "list[list[int]]", weights, x: int, den: int) -> Fraction:
     for row, w in zip(rows, weights):
         if w:
             acc = 0
-            for c in row:
+            for c in reversed(row):
                 acc = acc * x + c
             total += acc * w.numerator * (lcm // w.denominator)
     return Fraction(total, lcm * den)
@@ -307,6 +325,21 @@ def _muladd(row: list, a, b) -> list:
     return row
 
 
+def _muladd_over(entry: list, a, den: int, factor: int) -> None:
+    """``entry += factor * a / den`` for ``entry = [D, row]``, a row of int
+    numerators over the denominator D, and ascending ints ``a``.
+
+    The row is brought to lcm(D, den) only when den does not divide D; the
+    sum itself is one ``_muladd``.
+    """
+    D = entry[0]
+    if D % den:
+        k = den // math.gcd(D, den)
+        entry[0] = D = D * k
+        entry[1] = [c * k for c in entry[1]]
+    _muladd(entry[1], a, (factor * (D // den),))
+
+
 def discrete_sum(F: Polynomial) -> Polynomial:
     """Summation polynomial S with S(n) = F(1) + ... + F(n); S(0) = 0.
 
@@ -318,17 +351,21 @@ def discrete_sum(F: Polynomial) -> Polynomial:
     d = F.degree
     if d < 0:
         return Polynomial()
-    row = [F.eval(i) for i in range(d + 1)]
-    out = [-row[0]]
+    # den * F(0), ..., den * F(d) as ints; the j-th forward difference is
+    # divided by (j + 1)!, so the sum is built over den * (d + 1)!
+    den, (row,) = _integer_rows(([F.eval(i) for i in range(d + 1)],))
+    top = math.factorial(d + 1)
+    out = [-row[0] * top]
     falling = [1]  # (x + 1) x ... (x + 2 - j), integer coefficients
     j = 0
     while row:
-        # row[0] is the j-th forward difference of F at 0, and
+        # row[0] is the j-th forward difference of den * F at 0, and
         # sum_{m=0..n} C(m, j) telescopes to C(n + 1, j + 1), which is the
         # next falling product over (j + 1)!
         falling = _muladd([], falling, (1 - j, 1))
         if row[0]:
-            _muladd(out, falling, (row[0] / math.factorial(j + 1),))
+            _muladd(out, falling, (row[0] * (top // math.factorial(j + 1)),))
         row = [b - a for a, b in zip(row, row[1:])]
         j += 1
-    return Polynomial(out)
+    den *= top
+    return Polynomial._of([Fraction(c, den) for c in out])

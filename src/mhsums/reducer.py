@@ -40,11 +40,12 @@ which holds no reduction logic.
 
 Where the time goes, the arithmetic runs on integers over one denominator.
 The chain's states are int numerators over a shared denominator; each step
-reads B_0..B_h once, as ints over their lcm (``_bernoulli_ints``), and
-``c_poly`` and ``reduce_direct`` make one ``Fraction`` per coefficient they
-hand out.  The power sums of the summation by parts (``_power_sum``) add
-Faulhaber's rows as ints over their lcm (``_faulhaber_ints``) and make one
-``Fraction`` per coefficient of the sum.
+reads B_0..B_h once, as ints over their lcm (``_bernoulli_ints``).
+``c_poly`` makes one ``Fraction`` per coefficient; ``reduce_direct`` adds
+its states to the accumulator as ints.  The power sums of the summation by
+parts (``_power_sum``) take and return ints over a denominator, adding
+Faulhaber's rows as ints over their lcm (``_faulhaber_ints``), and the walk
+adds them to the accumulator as they are.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ from .polynomial import Polynomial, _integer_rows, _muladd
 
 __all__ = ["faulhaber", "c_poly", "d_umbral", "reduce", "reduce_direct"]
 
+_ZERO = Fraction(0)
+
 
 def _check_power(p: int) -> None:
     if not isinstance(p, int) or p < 0:
@@ -74,12 +77,12 @@ def faulhaber(p: int) -> Polynomial:
     (1/(p+1)) * sum_{j=0..p} C(p+1, j) * B_j * x**(p+1-j).
     """
     _check_power(p)
-    coeffs = [Fraction(0)] * (p + 2)
+    coeffs = [_ZERO] * (p + 2)
     for j in range(p + 1):
         b = bernoulli(j, "plus")
         if b:
             coeffs[p + 1 - j] = Fraction(math.comb(p + 1, j), p + 1) * b
-    return Polynomial(coeffs)
+    return Polynomial._of(coeffs)
 
 
 def c_poly(p: int, index: "tuple[int, ...]" = ()) -> Polynomial:
@@ -136,7 +139,7 @@ def _bernoulli_ints(h: int) -> "tuple[int, tuple[int, ...]]":
     """``(bden, (B_0 * bden, ..., B_h * bden))`` in the plus convention, with
     bden the lcm of the denominators."""
     bden, (row,) = _integer_rows(([bernoulli(j, "plus") for j in range(h + 1)],))
-    return bden, tuple(reversed(row))
+    return bden, tuple(row)
 
 
 @lru_cache(maxsize=None)
@@ -146,10 +149,10 @@ def _c_poly(p: int, index: "tuple[int, ...]") -> Polynomial:
     states, den = {0: 1}, 1
     for a in subs:
         states, den = _chain_step(states, den, p + 1 - a, top - 1)
-    coeffs = [0] * (top + 1)
+    coeffs = [_ZERO] * (top + 1)
     for s, acc in states.items():
         coeffs[top - s] = Fraction(acc, den)
-    return Polynomial(coeffs)
+    return Polynomial._of(coeffs)
 
 
 def d_umbral(p: int, index: "tuple[int, ...]" = ()) -> Fraction:
@@ -174,21 +177,23 @@ def _reduce(p: int, comp: "tuple[int, ...]") -> ClosedForm:
     return _by_parts({comp: 1}, [0] * p + [1])
 
 
-def _power_sum(G) -> list:
-    """Ascending coefficients of the power sum of the weight with ascending
-    coefficients ``G``, from Faulhaber's polynomials: summed on ints over
-    one denominator, one ``Fraction`` per coefficient."""
+def _power_sum(G: "list[int]", den: int) -> "tuple[list[int], int]":
+    """The power sum of the weight with ascending coefficients G / den, for
+    ints G, from Faulhaber's polynomials: its ascending coefficients as ints
+    over one denominator, ``(S, den)``, reduced by one gcd."""
     terms = [(q, g) for q, g in enumerate(G) if g]
     if not terms:
-        return []
+        return [], 1
     rows = [_faulhaber_ints(q) for q, _ in terms]
-    gden = math.lcm(*[g.denominator for _, g in terms])
     fden = math.lcm(*[d for d, _ in rows])
     total: "list[int]" = []
     for (_, g), (d, row) in zip(terms, rows):
-        _muladd(total, row, (g.numerator * (gden // g.denominator) * (fden // d),))
-    den = gden * fden
-    return [Fraction(t, den) for t in total]
+        _muladd(total, row, (g * (fden // d),))
+    den *= fden
+    g = math.gcd(den, *total)
+    if g > 1:
+        total = [t // g for t in total]
+    return total, den // g
 
 
 @lru_cache(maxsize=None)
@@ -196,7 +201,7 @@ def _faulhaber_ints(q: int) -> "tuple[int, tuple[int, ...]]":
     """``(den, ascending coefficients of faulhaber(q) times den)`` as ints,
     with den the lcm of the denominators."""
     den, (row,) = _integer_rows((faulhaber(q).coeffs,))
-    return den, tuple(reversed(row))
+    return den, tuple(row)
 
 
 def _by_parts(comb, weight) -> ClosedForm:
@@ -204,18 +209,19 @@ def _by_parts(comb, weight) -> ClosedForm:
     H_{m-1} sums), with G given by its ascending coefficients ``weight``:
     one walk per composition, all into one accumulator."""
     out = _Accumulator()
+    wden, (weight,) = _integer_rows((weight,))
     for comp, c in comb.items():
-        G = weight
+        G, den = weight, wden
         for i in range(len(comp) + 1):
             if not c or not any(G):
                 break
-            S = _power_sum(G)
-            out.add(comp[i:], S, c)
+            S, den = _power_sum(G, den)
+            out.add_ints(comp[i:], S, den, c)
             if i < len(comp):
                 k = comp[i]
                 for j in range(1, min(k, len(S))):
                     if S[j]:
-                        out.add((k - j,) + comp[i + 1 :], (S[j],), -c)
+                        out.add_ints((k - j,) + comp[i + 1 :], (S[j],), den, -c)
                 G, c = S[k:], -c
     return out.freeze()
 
@@ -246,8 +252,8 @@ def reduce_direct(p: int, comp: "tuple[int, ...]") -> ClosedForm:
         # l = r + 1 this is the final, pure polynomial block
         lead = [0] * (d + 1)
         for s, acc in states.items():
-            lead[d - s] = Fraction(acc, den)
-        out.add(comp[l - 1 :], lead, -sign)
+            lead[d - s] = acc
+        out.add_ints(comp[l - 1 :], lead, den, -sign)
         # a partial sum past the next step's budget drops the first entry
         # below k_l (middle block); the others carry on as the next prefix
         budget = p + l - kw[l]
@@ -256,5 +262,5 @@ def reduce_direct(p: int, comp: "tuple[int, ...]") -> ClosedForm:
             if s <= budget:
                 prefix[s] = acc
             else:
-                out.add((kw[l] + s - l - p,) + comp[l:], (Fraction(acc, den),), sign)
+                out.add_ints((kw[l] + s - l - p,) + comp[l:], (acc,), den, sign)
     return out.freeze()

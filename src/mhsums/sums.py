@@ -17,9 +17,12 @@ power.  ``sum_product`` does the same over products of depth-one sums,
 e.g. H_{m-1} * H_{m-1}(2): a state is the vector of multiplicities per
 distinct order, and a step from v to w < v carries -prod_i C(v_i, w_i) and
 the shift J = sum_i k_i (v_i - w_i).  Every state is visited once, from the
-top down, and all of them add into one accumulator.
+top down, and all of them add into one accumulator.  Weights, tails and
+power sums are int numerators over a denominator, up to the accumulator's
+one ``Fraction`` per output coefficient.
 ``sum_power_shifted`` handles the H_m (unshifted-argument) variant via
-sum_{m=0..n} F(m) H_m**t = F(n) H_n**t + sum_{m=1..n} F(m-1) H_{m-1}**t.
+sum_{m=0..n} F(m) H_m**t = F(n) H_n**t + sum_{m=1..n} F(m-1) H_{m-1}**t;
+it and ``structure_check`` add their extra terms to the same accumulator.
 
 ``structured_form`` produces the presentations with explicit H_n-power
 blocks (squares, cubes, the H*H(2) product, and fourth powers with a general
@@ -39,7 +42,7 @@ from fractions import Fraction
 
 from .bernoulli import bernoulli, umbral_eval
 from .closedform import ClosedForm, _Accumulator
-from .polynomial import Polynomial, _muladd, discrete_sum
+from .polynomial import Polynomial, _integer_rows, _muladd_over, discrete_sum
 from .reducer import _check_power, _power_sum, c_poly, d_umbral, faulhaber
 from .stuffle import expand_power, product_combinations
 
@@ -62,19 +65,33 @@ def _check_weight(F: Polynomial) -> None:
 
 def sum_power(F: Polynomial, t: int) -> ClosedForm:
     """Closed form of sum_{m=1..n} F(m) * H_{m-1}**t."""
+    out = _Accumulator()
+    _power_levels(out, F, t)
+    return out.freeze()
+
+
+def _power_levels(out: _Accumulator, F: Polynomial, t: int) -> None:
+    """Add sum_{m=1..n} F(m) * H_{m-1}**t to ``out``."""
     _check_weight(F)
     if not isinstance(t, int) or t < 0:
         raise ValueError("the power must be a nonnegative integer")
-    return _levels(F.coeffs, ((1, t),))
+    _levels(out, F.coeffs, ((1, t),))
 
 
 def sum_power_shifted(F: Polynomial, t: int) -> ClosedForm:
     """Closed form of sum_{m=0..n} F(m) * H_m**t."""
     _check_weight(F)
     out = _Accumulator()
-    out.add_form(ClosedForm.from_combination(expand_power(1, t)), F)
-    out.add_form(sum_power(F.shift(-1), t))
+    _add_combination(out, expand_power(1, t), F)
+    _power_levels(out, F.shift(-1), t)
     return out.freeze()
+
+
+def _add_combination(out: _Accumulator, comb, P: Polynomial) -> None:
+    """Add P(n) times the combination ``comb`` of H_n sums to ``out``."""
+    den, (row,) = _integer_rows((P.coeffs,))
+    for comp, c in comb.items():
+        out.add_ints(comp, row, den, c)
 
 
 def sum_product(F: Polynomial, factors: "list[tuple[int, int]]") -> ClosedForm:
@@ -90,17 +107,19 @@ def sum_product(F: Polynomial, factors: "list[tuple[int, int]]") -> ClosedForm:
         if not isinstance(mult, int) or mult < 1:
             raise ValueError("factor multiplicities must be positive integers")
         powers[order] = powers.get(order, 0) + mult
-    return _levels(F.coeffs, tuple(powers.items()))
+    out = _Accumulator()
+    _levels(out, F.coeffs, tuple(powers.items()))
+    return out.freeze()
 
 
-def _levels(weight, powers) -> ClosedForm:
-    """Closed form of sum_{m=1..n} G(m) * prod_i H_{m-1}(k_i)**e_i, with G
+def _levels(out: _Accumulator, weight, powers) -> None:
+    """Add sum_{m=1..n} G(m) * prod_i H_{m-1}(k_i)**e_i to ``out``, with G
     given by its ascending coefficients ``weight`` and ``powers`` the pairs
     (k_i, e_i) of distinct orders: summation by parts level by level, one
     merged weight per vector of exponents (see the module docstring)."""
-    out = _Accumulator()
-    if not any(weight):
-        return out.freeze()
+    den, (G,) = _integer_rows((weight,))
+    if not any(G):
+        return
     orders = [k for k, _ in powers]
     # descending lexicographic order: every state comes before those below it
     states = list(itertools.product(*(range(e, -1, -1) for _, e in powers)))
@@ -115,20 +134,23 @@ def _levels(weight, powers) -> ClosedForm:
         if len(nonzero) > 1:  # the state without its last order, times this
             power = product_combinations(combs[v[:i] + (0,) * (len(v) - i)], power)
         combs[v] = power
-    polys = {states[0]: list(weight)}  # state -> polynomial part of its weight
-    tails = {}  # state -> {r: coefficient of m**-r in its weight}
+    # state -> [den, ints]: the polynomial part of its weight, ascending, and
+    # its tails, where entry r is the coefficient of m**-r; both over den
+    polys = {states[0]: [den, G]}
+    tails = {}
     for v in states:
         comb = combs[v]
-        for r, c in tails.pop(v, {}).items():
+        tden, row = tails.pop(v, (1, ()))
+        for r, c in enumerate(row):
             if c:
                 for comp, cc in comb.items():
-                    out.add((r,) + comp, (c,), cc)
-        G = polys.pop(v, ())
+                    out.add_ints((r,) + comp, (c,), tden, cc)
+        den, G = polys.pop(v, (1, ()))
         if not any(G):
             continue
-        S = _power_sum(G)
+        S, den = _power_sum(G, den)
         for comp, cc in comb.items():
-            out.add(comp, S, cc)
+            out.add_ints(comp, S, den, cc)
         # each lower state w takes -prod C(v_i, w_i) * S(m) * m**-J: the
         # polynomial part as weight, the negative powers as tails
         for w in itertools.product(*(range(e + 1) for e in v)):
@@ -136,12 +158,12 @@ def _levels(weight, powers) -> ClosedForm:
                 continue
             factor = -math.prod(map(math.comb, v, w))
             J = sum(k * (a - b) for k, a, b in zip(orders, v, w))
-            _muladd(polys.setdefault(w, []), S[J:], (factor,))
-            lower = tails.setdefault(w, {})
-            for i in range(1, min(J, len(S))):
-                if S[i]:
-                    lower[J - i] = lower.get(J - i, 0) + factor * S[i]
-    return out.freeze()
+            _muladd_over(polys.setdefault(w, [den, []]), S[J:], den, factor)
+            if J > 1:
+                lower = [0] * J
+                for i in range(1, min(J, len(S))):
+                    lower[J - i] = S[i]
+                _muladd_over(tails.setdefault(w, [den, []]), lower, den, factor)
 
 
 # --------------------------------------------------------------- structured
@@ -320,10 +342,10 @@ def structured_to_closed(form: StructuredForm) -> ClosedForm:
     for order in form.extra_orders:
         lead = product_combinations(lead, {(order,): Fraction(1)})
     out = _Accumulator()
-    out.add_form(ClosedForm.from_combination(lead), form.leading)
+    _add_combination(out, lead, form.leading)
     for i, qi in enumerate(form.q):
         if qi:
-            out.add_form(ClosedForm.from_combination(expand_power(1, i)), qi)
+            _add_combination(out, expand_power(1, i), qi)
     out.add_form(ClosedForm({(2,): form.c2, (2, 1): form.c21, (3,): form.c3}))
     return out.freeze()
 
@@ -342,10 +364,9 @@ class StructureReport:
 def structure_check(F: Polynomial, t: int) -> StructureReport:
     """Verify that sum_{m=1..n} F(m) H_{m-1}**t minus S_n(F) * H_n**t only
     contains terms of depth below t with coefficient degree <= deg(F) + 1."""
-    _check_weight(F)
     out = _Accumulator()
-    out.add_form(sum_power(F, t))
-    out.add_form(ClosedForm.from_combination(expand_power(1, t)), -discrete_sum(F))
+    _power_levels(out, F, t)
+    _add_combination(out, expand_power(1, t), -discrete_sum(F))
     remainder = out.freeze()
     degree_bound = F.degree + 1
     offending = tuple(

@@ -302,3 +302,66 @@ def test_rejects_inexact_coefficients():
         SAMPLE.scale(0.5)
     with pytest.raises(TypeError):
         ClosedForm({}).scale("n")
+
+
+def test_accumulator_rows_over_different_denominators():
+    acc = _Accumulator()
+    acc.add_ints((1,), [1, 2], 6)
+    acc.add_ints((1,), [3], 3, Fraction(5, 7))  # 5/7 * 1, over 21
+    acc.add_ints((1,), [0, 0, 1], 4, -2)
+    acc.add((1,), (Fraction(1, 10), 0, Fraction(3, 5)), x + Fraction(1, 2))
+    want = (
+        Polynomial((Fraction(1, 6), Fraction(1, 3)))
+        + Fraction(5, 7)
+        - x * x / 2
+        + Polynomial((Fraction(1, 10), 0, Fraction(3, 5))) * (x + Fraction(1, 2))
+    )
+    assert acc.freeze() == ClosedForm({(1,): want})
+    # a row is brought to a new denominator only when the old one is not a
+    # multiple of it: 6 stays for 3 and 2, and becomes lcm(6, 4) = 12 for 4
+    acc = _Accumulator()
+    acc.add_ints((), [1], 6)
+    acc.add_ints((), [1], 3)
+    acc.add_ints((), [1], 2)
+    assert acc._rows[()][0] == 6
+    acc.add_ints((), [1], 4)
+    assert acc._rows[()][0] == 12
+    assert acc.freeze() == ClosedForm({(): Fraction(5, 4)})
+
+
+def test_accumulator_cancels_across_denominators_and_trims():
+    acc = _Accumulator()
+    # equal rows over different denominators cancel to a zero row
+    acc.add_ints((2,), [2, 4], 6)
+    acc.add_ints((2,), [1, 2], 3, -1)
+    # the top coefficients cancel, so the row is trimmed to degree 1
+    acc.add_ints((3,), [1, 1, 3], 5)
+    acc.add((3,), (0, 0, Fraction(3, 5)), -1)
+    acc.add_ints((3,), [0, 0, 0, 7, 1], 2)
+    acc.add_ints((3,), [0, 0, 0, 14, 2], 4, -1)
+    form = acc.freeze()
+    assert coefficient_map(form) == {(3,): (Fraction(1, 5), Fraction(1, 5))}
+    assert acc.freeze().coefficient((2,)).is_zero
+
+
+def test_frozen_coefficients_are_fractions():
+    acc = _Accumulator()
+    acc.add((1,), (1, 0, 3))  # an interior zero
+    acc.add_ints((2,), [4, 0, 0, 2], 2)
+    acc.add_ints((), [6], 3)
+    acc.add_form(SAMPLE, 3)
+    form = acc.freeze()
+    coeffs = [c for _, poly in form.terms for c in poly.coeffs]
+    assert all(type(c) is Fraction for c in coeffs)
+    assert coefficient_map(form)[(2,)] == (2, 3, 0, 1)
+    assert form.coefficient(()) == 6 * x + 2
+
+
+def test_accumulator_rejects_floats():
+    acc = _Accumulator()
+    with pytest.raises(TypeError):
+        acc.add((1,), (0.5,))
+    with pytest.raises(TypeError):
+        acc.add((1,), (1,), 0.5)
+    with pytest.raises(TypeError):
+        acc.add_form(SAMPLE, 0.5)

@@ -97,6 +97,32 @@ def test_pow(p, k, n):
     assert (p ** k).eval(n) == p.eval(n) ** k
 
 
+small_polys = st.lists(
+    st.fractions(min_value=-20, max_value=20, max_denominator=30), max_size=6
+).map(Polynomial)
+
+
+@given(small_polys, st.integers(min_value=0, max_value=12))
+def test_pow_matches_repeated_multiplication(p, k):
+    # repeated squaring against k products; the zero polynomial and k = 0
+    # included
+    want = Polynomial.constant(1)
+    for _ in range(k):
+        want = want * p
+    got = p ** k
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def test_pow_edge_cases():
+    zero = Polynomial.zero()
+    assert zero ** 0 == Polynomial.constant(1)
+    assert (zero ** 1).is_zero and (zero ** 5).is_zero
+    assert (x ** 0).coeffs == (Fraction(1),)
+    assert (x ** 13).coeffs == (Fraction(0),) * 13 + (Fraction(1),)
+    assert (x - 1) ** 2 == x * x - 2 * x + 1
+
+
 def test_pow_negative_rejected():
     with pytest.raises(ValueError):
         x ** -1
@@ -187,3 +213,12 @@ def test_discrete_sum_degree(F):
         assert S.is_zero
     else:
         assert S.degree == F.degree + 1
+
+
+@given(st.lists(st.fractions(max_denominator=50), max_size=7).map(Polynomial))
+def test_discrete_sum_coefficients_are_fractions(F):
+    # built over one denominator and handed to Polynomial without its checks:
+    # every coefficient a Fraction, no trailing zero
+    coeffs = discrete_sum(F).coeffs
+    assert all(type(c) is Fraction for c in coeffs)
+    assert not coeffs or coeffs[-1] != 0

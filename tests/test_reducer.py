@@ -1,7 +1,7 @@
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mhsums.bernoulli import bernoulli, umbral_eval
 from mhsums.closedform import ClosedForm
 from mhsums.oracle import mhs_eval, mhs_values
-from mhsums.polynomial import Polynomial, _muladd, discrete_sum
+from mhsums.polynomial import Polynomial, _integer_rows, _muladd, discrete_sum
 from mhsums.reducer import _chain_step, _power_sum, c_poly, d_umbral, faulhaber
 from mhsums.reducer import reduce, reduce_direct
 from mhsums.verify import compositions_up_to
@@ -536,8 +536,19 @@ def test_power_sum_matches_faulhaber_rows(G):
     for q, g in enumerate(G):
         if g:
             _muladd(reference, faulhaber(q).coeffs, (g,))
-    S = _power_sum(G)
-    assert S == reference
-    # _by_parts reads len(S), S[j] and S[k:]
+    den, (ints,) = _integer_rows((G,))
+    S, sden = _power_sum(ints, den)
+    assert [Fraction(c, sden) for c in S] == reference
+    # _by_parts and the sums' levels read len(S), S[j] and S[k:]
     assert len(S) == len(reference)
     assert [bool(c) for c in S] == [bool(c) for c in reference]
+    # reduced by one gcd: numerators and denominator are coprime
+    assert sden >= 1 and gcd(sden, *S) == 1
+
+
+def test_built_rows_hold_fractions():
+    # faulhaber and c_poly hand their rows to Polynomial without its checks
+    for p in range(21):
+        for poly in (faulhaber(p), c_poly(p, (1,)), c_poly(p, (0, 2)), c_poly(p, (3, 3))):
+            assert all(type(c) is Fraction for c in poly.coeffs)
+            assert not poly.coeffs or poly.coeffs[-1] != 0

@@ -1,16 +1,21 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mhsums.bernoulli import bernoulli, umbral_eval
-from mhsums.closedform import ClosedForm
+from mhsums.closedform import ClosedForm, _Accumulator
 from mhsums.oracle import harmonic, mhs_eval
-from mhsums.polynomial import Polynomial, discrete_sum
+from mhsums.polynomial import Polynomial, _muladd, discrete_sum
 from mhsums.cli import MAX_POWER
-from mhsums.reducer import _by_parts, reduce
+from mhsums.reducer import _by_parts, faulhaber, reduce
 from mhsums.stuffle import expand_power, product_combinations
 from mhsums.sums import (
+    _levels,
     structure_check,
     structured_form,
     structured_to_closed,
@@ -104,6 +109,126 @@ def test_levels_match_by_parts():
     F = weights[2]
     assert sum_product(F, [(2, 1), (2, 1)]) == sum_product(F, [(2, 2)])
     assert sum_product(F, [(1, 1), (1, 2)]) == sum_power(F, 3)
+
+
+def fraction_levels(weight, powers):
+    """The level recursion on ``Fraction`` values, as the sums ran it before
+    they moved to ints over one denominator, summed in plain dicts: the
+    result in the shape of ``coefficient_map``."""
+    total = {}
+
+    def add(comp, coeffs, c):
+        row = total.setdefault(comp, {})
+        for i, a in enumerate(coeffs):
+            row[i] = row.get(i, 0) + a * c
+
+    if not any(weight):
+        return {}
+    orders = [k for k, _ in powers]
+    states = list(itertools.product(*(range(e, -1, -1) for _, e in powers)))
+    combs = {}
+    for v in reversed(states):
+        nonzero = [i for i, e in enumerate(v) if e]
+        if not nonzero:
+            combs[v] = {(): Fraction(1)}
+            continue
+        i = nonzero[-1]
+        power = expand_power(orders[i], v[i])
+        if len(nonzero) > 1:
+            power = product_combinations(combs[v[:i] + (0,) * (len(v) - i)], power)
+        combs[v] = power
+    polys = {states[0]: list(weight)}
+    tails = {}
+    for v in states:
+        comb = combs[v]
+        for r, c in tails.pop(v, {}).items():
+            if c:
+                for comp, cc in comb.items():
+                    add((r,) + comp, (c,), cc)
+        G = polys.pop(v, ())
+        if not any(G):
+            continue
+        S = []  # the power sum of G, from Faulhaber's polynomials
+        for q, g in enumerate(G):
+            if g:
+                _muladd(S, faulhaber(q).coeffs, (g,))
+        for comp, cc in comb.items():
+            add(comp, S, cc)
+        for w in itertools.product(*(range(e + 1) for e in v)):
+            if w == v:
+                continue
+            factor = -math.prod(map(math.comb, v, w))
+            J = sum(k * (a - b) for k, a, b in zip(orders, v, w))
+            _muladd(polys.setdefault(w, []), S[J:], (factor,))
+            lower = tails.setdefault(w, {})
+            for i in range(1, min(J, len(S))):
+                if S[i]:
+                    lower[J - i] = lower.get(J - i, 0) + factor * S[i]
+    out = {}
+    for comp, row in total.items():
+        coeffs = [Fraction(row.get(i, 0)) for i in range(max(row, default=-1) + 1)]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        if coeffs:
+            out[comp] = tuple(coeffs)
+    return out
+
+
+def run_levels(weight, powers):
+    acc = _Accumulator()
+    _levels(acc, weight, powers)
+    return acc.freeze()
+
+
+# negative, non-integral and zero coefficients, and all-zero weights
+level_weights = st.lists(
+    st.one_of(
+        st.just(0),
+        st.integers(-40, 40),
+        st.fractions(min_value=-20, max_value=20, max_denominator=30),
+    ),
+    max_size=7,
+)
+
+
+@given(level_weights, st.integers(0, 6))
+def test_levels_match_fraction_levels(weight, t):
+    form = run_levels(weight, ((1, t),))
+    assert coefficient_map(form) == fraction_levels(weight, ((1, t),))
+    assert all(type(c) is Fraction for _, p in form.terms for c in p.coeffs)
+    assert sum_power(Polynomial(weight), t) == form
+
+
+@given(
+    level_weights,
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3).filter(
+        lambda fs: sum(m for _, m in fs) <= 5
+    ),
+)
+def test_sum_product_matches_fraction_levels(weight, factors):
+    # repeated orders merge into one exponent before the levels run
+    powers = {}
+    for order, mult in factors:
+        powers[order] = powers.get(order, 0) + mult
+    want = fraction_levels(weight, tuple(powers.items()))
+    form = sum_product(Polynomial(weight), factors)
+    assert coefficient_map(form) == want
+    assert all(type(c) is Fraction for _, p in form.terms for c in p.coeffs)
+
+
+def test_levels_edge_cases():
+    # a zero weight adds nothing; t = 0 is the power sum alone
+    for powers in (((1, 0),), ((1, 3),), ((2, 1), (3, 2))):
+        assert run_levels((), powers) == ClosedForm()
+        assert run_levels((0, Fraction(0), 0), powers) == ClosedForm()
+    F = 3 * x * x - x / 2 + Fraction(-7, 3)
+    assert run_levels(F.coeffs, ((1, 0),)) == ClosedForm({(): discrete_sum(F)})
+    assert sum_power(F, 0) == ClosedForm({(): discrete_sum(F)})
+    # the levels add into what the accumulator already holds
+    acc = _Accumulator()
+    acc.add((1,), (1, 2))
+    _levels(acc, F.coeffs, ((1, 2),))
+    assert acc.freeze() == sum_power(F, 2) + ClosedForm({(1,): 1 + 2 * x})
 
 
 def test_high_powers_against_brute_force():
