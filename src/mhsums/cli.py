@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .bernoulli import bernoulli
 from .closedform import term_json_obj
-from .oracle import mhs_eval
+from .oracle import _pairs
 from .polynomial import _FORMATS, Polynomial, _render
 from .reducer import reduce, reduce_direct
 from .sums import structure_check, sum_power, sum_power_shifted, sum_product
@@ -84,8 +84,12 @@ MAX_POWER = 12  # --power, and the summed multiplicities of --factors
 # A constant's cost grows with its size; (9^100)^100 has 31,700 bits.
 MAX_CONSTANT_BITS = 40_000  # numerator or denominator of a literal, power or product
 # Nothing recurses per --comp entry, but the output and the oracle's suffix
-# tables grow with depth**2: with 1,000 ones reduce -p 0 prints 1 MB and eval
-# --n 1000 takes 1.6 s and 51 MB; with 2,000, 4 MB, 6.4 s and 161 MB.
+# tables grow with depth**2: with 1,000 ones reduce -p 0 prints 1 MB, and on
+# tables of Fractions eval --n 1000 took 1.6 s and 51 MB; with 2,000, 4 MB,
+# 6.4 s and 161 MB.  The oracle's int pairs skip its zero terms, and on
+# another 2-vCPU VM mhs_eval at n = 1,000 and 2,000 with as many ones went
+# from 3.9 s and 46 MB to 0.07 s and 28 MB, and from 16 s and 141 MB to 0.3 s
+# and 70 MB.  The bound is kept unchanged; the output still grows as before.
 MAX_DEPTH = 100  # entries of --comp
 # The direct evaluator builds a table of n exact values per suffix of the
 # composition, and the Bernoulli table costs m exact terms for its m-th entry.
@@ -93,10 +97,15 @@ MAX_EVAL_N = 20_000  # eval --n
 MAX_BERNOULLI = 1_000  # bernoulli --max
 # The values of the table for a suffix of weight w grow to O(n * w) bits.
 # The table of the last entry adds a short term per step, so it costs about
-# n**2 * w; every other table adds two full-size fractions, whose gcds make a
+# n**2 * w; every other table adds two full-size values, whose gcds make a
 # step quadratic in the bits, about n**3 * w**2 per table.  Fitted to eval
-# timings, the estimate n**2 * w_last + n**3 * sum(w**2) / 5000 at this
-# limit takes at most about 4 s on a 2-vCPU VM.
+# timings on tables of Fractions, the estimate n**2 * w_last + n**3 *
+# sum(w**2) / 5000 at this limit took at most about 4 s on a 2-vCPU VM.  The
+# tables now hold int pairs (see ``oracle``): they take the same gcds of
+# full-size denominators without building an object per step, so the
+# costliest accepted inputs take as long as before or less, and the estimate
+# is an upper one, kept unchanged so that eval accepts and refuses the same
+# inputs as before.
 MAX_EVAL_COST = 400_000_000  # eval, see _eval_cost
 # reduce walks its composition by summation by parts (see ``reducer``): step
 # i, at a weight of degree d, sums about d**2 products of numbers that grow
@@ -118,9 +127,11 @@ MAX_TABLE_N = 10_000  # table --n; table --p-max is bounded by MAX_DEGREE
 # reduce and the evaluation, and an oracle table costs 1200 per value plus
 # MAX_EVAL_COST's estimate of its bits.  The costliest accepted tables found
 # take 2.6 to 5.8 s on a 2-vCPU VM.  The term for the evaluation was fitted
-# when ClosedForm.eval ran Horner's scheme on Fraction values; it now runs on
-# ints over one denominator, so the term overrates it.  It is kept unchanged,
-# so that table accepts and refuses the same inputs as before.
+# when ClosedForm.eval ran Horner's scheme on Fraction values, and the
+# oracle's terms when its tables held Fractions; both now run on ints (the
+# evaluation over one denominator, the tables as int pairs), so the terms
+# are upper estimates.  They are kept unchanged, so that table accepts and
+# refuses the same inputs as before.
 MAX_TABLE_COST = 400_000_000  # table, see _table_cost
 
 
@@ -508,11 +519,15 @@ def _cmd_eval(args) -> int:
     comp = _parse_comp(args.comp)
     if _eval_cost(args.n, comp) > MAX_EVAL_COST:
         raise ValueError(f"--n and --comp have an estimated cost above {MAX_EVAL_COST}")
-    value = mhs_eval(args.n, comp)
+    # the table's own pair, in lowest terms: a Fraction would redo its gcd
+    nums, dens = _pairs(args.n, comp)
+    num, den = nums[args.n], dens[args.n]
     if args.format == "json":
-        print(json.dumps({"value": [value.numerator, value.denominator]}))
-    else:  # a constant polynomial
-        print(_render((value,), "n", args.format))
+        print(json.dumps({"value": [num, den]}))
+    elif den == 1:  # a constant polynomial, never negative
+        print(_render((num,), "n", args.format))
+    else:
+        print(_FORMATS[args.format][0] % (num, den))
     return 0
 
 

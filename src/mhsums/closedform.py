@@ -18,12 +18,15 @@ all go through it; the ``ClosedForm`` they return stays immutable.
 
 Evaluation reads the form over one denominator: D is the lcm of every
 coefficient denominator, and each term's coefficients become the integers
-c * D, highest degree first.  At each n, Horner's scheme runs on those ints,
-each product with H_n(comp) is brought to the lcm L of the H values'
-denominators at n, and a single ``Fraction`` is built over L * D
-(``polynomial._horner_sum``).  ``values(max_n)`` reads each term's H values
-from one table of the direct evaluator, fetched once per call with
-``mhs_values``; ``eval(n)`` runs the same kernel at one n with ``mhs_eval``.
+c * D.  Each term's H values come from one table of the direct evaluator,
+fetched once per call as int numerators and denominators in lowest terms
+(``oracle._pairs``); no ``Fraction`` is read from the oracle.  At each n,
+Horner's scheme runs on the ints, each product with H_n(comp) is brought to
+the lcm L of the H values' denominators at n, and the value is the int pair
+over L * D (``polynomial._horner_sum``, the one kernel behind ``eval`` and
+``values``).  ``values(max_n)`` and ``eval(n)`` build one ``Fraction`` per
+value from those pairs; ``verify`` compares the pairs themselves
+(``_ratios``) with the direct sums by cross multiplication.
 
 Terms render and serialize in one canonical order (weight, then depth, then
 lexicographic entries), so every emitter is deterministic.
@@ -35,7 +38,7 @@ import json
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .oracle import is_proper, mhs_eval, mhs_values
+from .oracle import _pairs, is_proper
 from .polynomial import _FORMATS, Polynomial, _coefficients, _horner_sum
 from .polynomial import _integer_rows, _muladd, _muladd_over, _render
 from .polynomial import join_signed
@@ -192,17 +195,25 @@ class ClosedForm:
     def eval(self, n: int) -> Fraction:
         """Exact value at upper limit n, using the direct evaluator for each
         basis composition."""
-        den, rows = _integer_rows([poly.coeffs for poly in self._terms.values()])
-        return _horner_sum(rows, [mhs_eval(n, comp) for comp in self._terms], n, den)
+        return Fraction(*self._ratios(n, n)[0])
 
     def values(self, max_n: int) -> "list[Fraction]":
         """The list [C(0), C(1), ..., C(max_n)], reading each basis
         composition's values from one table of the direct evaluator."""
+        return [Fraction(*ratio) for ratio in self._ratios(0, max_n)]
+
+    def _ratios(self, lo: int, hi: int) -> "list[tuple[int, int]]":
+        """C(lo), ..., C(hi) as int pairs (numerator, denominator > 0), not
+        always in lowest terms, over one table fetch per term."""
+        if not self._terms:
+            return [(0, 1)] * (hi + 1 - lo)
         den, rows = _integer_rows([poly.coeffs for poly in self._terms.values()])
-        tables = [mhs_values(max_n, comp) for comp in self._terms]
-        return [
-            _horner_sum(rows, [t[n] for t in tables], n, den) for n in range(max_n + 1)
-        ]
+        tables = [_pairs(hi, comp) for comp in self._terms]
+        # one tuple per n of the terms' numerators, and one of their denominators
+        nums = zip(*[nums[lo : hi + 1] for nums, _ in tables])
+        dens = zip(*[dens[lo : hi + 1] for _, dens in tables])
+        span = range(lo, hi + 1)
+        return [_horner_sum(rows, a, b, n, den) for n, a, b in zip(span, nums, dens)]
 
     # ------------------------------------------------------------- rendering
 

@@ -10,14 +10,26 @@ Evaluation runs bottom-up over suffixes, the shortest first and without
 recursion: the table of H_m(suffix) for m = 0..n is built once per
 composition and cached, so a single evaluation costs O(n * depth) exact
 rational operations instead of a depth-deep nested loop, and repeated
-evaluations are lookups.  The cache grows append-only under a re-entrant
-lock, so it behaves as if computed once even when shared between threads.
+evaluations are lookups.  A table is two append-only lists of ints, the
+numerators and the positive denominators of its values in lowest terms.
+Each step reduces the new term m**-k * H_{m-1}(tail) (or m**|k| * ...) by
+one gcd against the small power m**|k|, and adds it with Henrici's gcd
+trick (Knuth, TAOCP vol. 2, section 4.5.1), so no object is built per step.
+This module shares no arithmetic with the reducer, the sums or
+``polynomial``: it stays an independent judge of their closed forms.
+
+``mhs_values`` and ``mhs_eval`` hand out ``Fraction``s.  The package's own
+readers (closed-form evaluation and ``verify``) take the int lists from
+``_pairs`` and build no ``Fraction`` per value.  The tables grow under a
+re-entrant lock, so they behave as if computed once even when shared
+between threads; an entry, once appended, never changes.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "Composition",
@@ -30,7 +42,21 @@ __all__ = [
 
 Composition = "tuple[int, ...]"
 
-_cache: "dict[tuple[int, ...], list[Fraction]]" = {}
+
+class _Table:
+    """H_m(comp) = nums[m] / dens[m] in lowest terms, dens[m] > 0, for
+    m < len(table)."""
+
+    __slots__ = ("nums", "dens")
+
+    def __init__(self, first: int):
+        self.nums, self.dens = [first], [1]
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+
+_cache: "dict[tuple[int, ...], _Table]" = {}
 _lock = threading.RLock()
 
 
@@ -51,21 +77,54 @@ def check_extended(comp: "tuple[int, ...]") -> None:
         )
 
 
-def _values(comp: "tuple[int, ...]", n: int) -> "list[Fraction]":
+def _values(comp: "tuple[int, ...]", n: int) -> _Table:
     with _lock:
-        vals = _cache.get(comp)
-        if vals is not None and len(vals) > n:
-            return vals
+        table = _cache.get(comp)
+        if table is not None and len(table) > n:
+            return table
         # back to front: the table of comp[i:] needs its values up to n - i
         for i in range(min(len(comp), n + 1), -1, -1):
-            tail, suffix = vals, comp[i:]
-            vals = _cache.setdefault(suffix, [Fraction(0) if suffix else Fraction(1)])
-            if not suffix:
-                vals.extend([Fraction(1)] * (n - i + 1 - len(vals)))
+            tail, suffix = table, comp[i:]
+            table = _cache.get(suffix)
+            if table is None:
+                table = _cache[suffix] = _Table(0 if suffix else 1)
+            nums, dens, top = table.nums, table.dens, n - i + 1
+            if len(nums) >= top:
                 continue
-            for m in range(len(vals), n - i + 1):
-                vals.append(vals[m - 1] + Fraction(m) ** (-suffix[0]) * tail[m - 1])
-        return vals
+            if not suffix:
+                nums.extend([1] * (top - len(nums)))
+                dens.extend([1] * (top - len(dens)))
+                continue
+            k, tnums, tdens = suffix[0], tail.nums, tail.dens
+            a, b = nums[-1], dens[-1]
+            for m in range(len(nums), top):
+                c = tnums[m - 1]
+                if c:
+                    # the term c / d = m**-k * H_{m-1}(tail), in lowest terms
+                    d = tdens[m - 1]
+                    if k > 0:
+                        power = m**k
+                        g = gcd(c, power)
+                        c, d = c // g, d * (power // g)
+                    elif k < 0:
+                        power = m**-k
+                        g = gcd(d, power)
+                        c, d = c * (power // g), d // g
+                    # a / b + c / d, reduced by the gcds of the denominators
+                    g = gcd(b, d)
+                    if g == 1:
+                        a, b = a * d + b * c, b * d
+                    else:
+                        s = b // g
+                        a = a * (d // g) + c * s
+                        g = gcd(a, g)
+                        if g == 1:
+                            b = s * d
+                        else:
+                            a, b = a // g, s * (d // g)
+                nums.append(a)
+                dens.append(b)
+        return table
 
 
 def _checked(n: int, comp: "tuple[int, ...]") -> "tuple[int, ...]":
@@ -77,14 +136,24 @@ def _checked(n: int, comp: "tuple[int, ...]") -> "tuple[int, ...]":
     return comp
 
 
+def _pairs(n: int, comp: "tuple[int, ...]") -> "tuple[list[int], list[int]]":
+    """The numerators and denominators of H_0(comp), ..., H_n(comp) in lowest
+    terms, as the table's own lists: they may run past n, and readers must
+    not change them."""
+    table = _values(_checked(n, comp), n)
+    return table.nums, table.dens
+
+
 def mhs_values(n: int, comp: "tuple[int, ...]") -> "list[Fraction]":
     """The list [H_0(comp), H_1(comp), ..., H_n(comp)]."""
-    return _values(_checked(n, comp), n)[: n + 1]
+    nums, dens = _pairs(n, comp)
+    return [Fraction(a, b) for a, b in zip(nums[: n + 1], dens)]
 
 
 def mhs_eval(n: int, comp: "tuple[int, ...]") -> Fraction:
     """H_n(comp) as an exact rational."""
-    return _values(_checked(n, comp), n)[n]
+    nums, dens = _pairs(n, comp)
+    return Fraction(nums[n], dens[n])
 
 
 def harmonic(n: int, order: int = 1) -> Fraction:

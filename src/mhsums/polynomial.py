@@ -13,10 +13,11 @@ accumulator and ``discrete_sum``.  Such a row becomes one ``Fraction`` per
 coefficient at the end, and a ``Polynomial`` through ``Polynomial._of``,
 which skips the public constructor's type checks.
 Every evaluation, here and of closed forms, runs Horner's scheme on integer
-numerators over one common denominator (``_integer_rows``, ``_horner_sum``)
-and builds one ``Fraction`` per value.  All text and LaTeX output, here, in
-closed forms and on the command line, is written from one format table,
-``_FORMATS``.
+numerators over one common denominator (``_integer_rows``, ``_horner_sum``),
+against weights given as int numerator and denominator lists, and gives an
+int pair; the public methods build one ``Fraction`` per value from it.  All
+text and LaTeX output, here, in closed forms and on the command line, is
+written from one format table, ``_FORMATS``.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ class Polynomial:
                 return acc
             x = x.numerator
         den, rows = _integer_rows((self.coeffs,))
-        return _horner_sum(rows, _ONE, x, den)
+        return Fraction(*_horner_sum(rows, _ONE, _ONE, x, den))
 
     def shift(self, c: Scalar) -> "Polynomial":
         """The composed polynomial x |-> P(x + c), by Horner's rule in x + c."""
@@ -279,23 +280,25 @@ def _integer_rows(rows) -> "tuple[int, list[list[int]]]":
     ]
 
 
-def _horner_sum(rows: "list[list[int]]", weights, x: int, den: int) -> Fraction:
-    """sum_i P_i(x) * weights[i] for an integer x, as one ``Fraction``.
+def _horner_sum(rows: "list[list[int]]", nums, dens, x: int, den: int):
+    """sum_i P_i(x) * nums[i] / dens[i] for an integer x, as an int pair
+    (numerator, denominator > 0), not always in lowest terms.
 
     Row i holds the ascending integer coefficients of den * P_i
-    (``_integer_rows``), and the weights are rationals.  Horner's scheme runs
-    on ints; each product is brought to the lcm L of the weights'
-    denominators, and the one ``Fraction`` is built over L * den.
+    (``_integer_rows``), and weight i is the int pair nums[i] / dens[i],
+    dens[i] > 0.  Horner's scheme runs on ints; each product is brought to
+    the lcm L of the weights' denominators, and the pair's denominator is
+    L * den.
     """
-    lcm = math.lcm(*[w.denominator for w in weights])
+    lcm = math.lcm(*dens)
     total = 0
-    for row, w in zip(rows, weights):
-        if w:
+    for row, a, b in zip(rows, nums, dens):
+        if a:
             acc = 0
             for c in reversed(row):
                 acc = acc * x + c
-            total += acc * w.numerator * (lcm // w.denominator)
-    return Fraction(total, lcm * den)
+            total += acc * a * (lcm // b)
+    return total, lcm * den
 
 
 _ONE = (1,)

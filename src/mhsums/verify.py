@@ -8,12 +8,13 @@ repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from .closedform import ClosedForm
-from .oracle import mhs_eval, mhs_values
-from .polynomial import Polynomial
+from .oracle import _pairs
+from .polynomial import Polynomial, _horner_sum, _integer_rows
 from .reducer import reduce, reduce_direct
 from .stuffle import composition_key
 from .sums import (
@@ -84,24 +85,37 @@ def _forms_agree(what: str, a: ClosedForm, b: ClosedForm):
 
 
 def _matches_direct(closed: ClosedForm, direct, max_n: int):
-    """Compare closed.values(max_n)[n] with direct[n] for n = 0..max_n;
-    max_n = 0 means "check nothing", an explicitly empty evaluation range."""
+    """Compare the closed form's value with the pair of int lists ``direct``
+    (nums[n] / dens[n], dens[n] > 0) at n = 0..max_n, by cross
+    multiplication; max_n = 0 means "check nothing", an explicitly empty
+    evaluation range."""
     if max_n > 0:
-        for n, got in enumerate(closed.values(max_n)):
-            if got != direct[n]:
-                return False, f"n={n}: closed {got} != direct {direct[n]}"
+        nums, dens = direct
+        for n, (num, den) in enumerate(closed._ratios(0, max_n)):
+            if num * dens[n] != nums[n] * den:
+                got, want = Fraction(num, den), Fraction(nums[n], dens[n])
+                return False, f"n={n}: closed {got} != direct {want}"
     return True, ""
 
 
 def _direct_weighted_sum(F: Polynomial, factor_values, max_n: int, start: int):
-    """Running values of sum_{m=start..n} F(m) * prod(factors at m-1 or m)."""
-    totals = []
-    acc = Fraction(0)
+    """Running values of sum_{m=start..n} F(m) * prod(factors at m-1 or m),
+    as a pair of int lists (nums, dens); ``factor_values(n)`` gives the
+    product as an int pair (numerator, denominator > 0).  The sums run over
+    the lcm of the terms' denominators."""
+    den, rows = _integer_rows((F.coeffs,))
+    nums, dens = [], []
+    acc, lcm = 0, 1
     for n in range(0, max_n + 1):
         if n >= start:
-            acc += F.eval(n) * factor_values(n)
-        totals.append(acc)
-    return totals
+            a, b = factor_values(n)
+            a, b = _horner_sum(rows, (a,), (b,), n, den)
+            g = math.gcd(lcm, b)
+            acc = acc * (b // g) + a * (lcm // g)
+            lcm *= b // g
+        nums.append(acc)
+        dens.append(lcm)
+    return nums, dens
 
 
 def reduce_suite_checks(max_n: int):
@@ -111,7 +125,7 @@ def reduce_suite_checks(max_n: int):
         for comp in comps:
 
             def check(p=p, comp=comp):
-                direct = mhs_values(max_n, (-p,) + comp)
+                direct = _pairs(max_n, (-p,) + comp)
                 return _matches_direct(reduce(p, comp), direct, max_n)
 
             checks.append((f"reduce p={p} comp={_comp_str(comp)} oracle", check))
@@ -131,7 +145,7 @@ def reduce_suite_checks(max_n: int):
 
 def sums_suite_checks(max_n: int):
     checks = []
-    h1 = mhs_values(max_n, (1,))
+    h1_nums, h1_dens = _pairs(max_n, (1,))
 
     def power_oracle(F, t, shifted):
         # shifted: sum_{m=0..n} F(m) H_m^t; else sum_{m=1..n} F(m) H_{m-1}^t
@@ -139,7 +153,12 @@ def sums_suite_checks(max_n: int):
 
         def check():
             closed = (sum_power_shifted if shifted else sum_power)(F, t)
-            direct = _direct_weighted_sum(F, lambda n: h1[n - start] ** t, max_n, start)
+            direct = _direct_weighted_sum(
+                F,
+                lambda n: (h1_nums[n - start] ** t, h1_dens[n - start] ** t),
+                max_n,
+                start,
+            )
             return _matches_direct(closed, direct, max_n)
 
         return check
@@ -156,9 +175,15 @@ def sums_suite_checks(max_n: int):
     def product_oracle(F):
         def check():
             closed = sum_product(F, [(1, 1), (2, 1)])
-            h2 = mhs_values(max_n, (2,))
+            h2_nums, h2_dens = _pairs(max_n, (2,))
             direct = _direct_weighted_sum(
-                F, lambda n: h1[n - 1] * h2[n - 1], max_n, start=1
+                F,
+                lambda n: (
+                    h1_nums[n - 1] * h2_nums[n - 1],
+                    h1_dens[n - 1] * h2_dens[n - 1],
+                ),
+                max_n,
+                start=1,
             )
             return _matches_direct(closed, direct, max_n)
 
@@ -251,20 +276,15 @@ def run_table(p_max: int, weight_max: int, n: int) -> str:
     lines = ["p,composition,n,oracle_num,oracle_den,closed_num,closed_den,match"]
     for p in range(p_max + 1):
         for comp in compositions_up_to(weight_max):
-            oracle = mhs_eval(n, (-p,) + comp)
-            closed = reduce(p, comp).eval(n)
+            nums, dens = _pairs(n, (-p,) + comp)
+            oracle = (nums[n], dens[n])  # in lowest terms, as a Fraction's
+            closed = reduce(p, comp).eval(n).as_integer_ratio()
+            match = "true" if oracle == closed else "false"
             lines.append(
                 ",".join(
-                    [
-                        str(p),
-                        ";".join(str(k) for k in comp),
-                        str(n),
-                        str(oracle.numerator),
-                        str(oracle.denominator),
-                        str(closed.numerator),
-                        str(closed.denominator),
-                        "true" if oracle == closed else "false",
-                    ]
+                    [str(p), ";".join(str(k) for k in comp), str(n)]
+                    + [str(v) for v in (*oracle, *closed)]
+                    + [match]
                 )
             )
     return "\n".join(lines) + "\n"

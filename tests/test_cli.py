@@ -271,6 +271,58 @@ def test_oracle_mismatches_name_the_first_n(monkeypatch):
         assert checks[label]() == (False, f"n=1: closed {want + 1} != direct {want}")
 
 
+def perturb_routes(monkeypatch, extra):
+    for name in ("reduce", "sum_power", "sum_power_shifted", "sum_product"):
+        route = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *a, route=route: route(*a) + extra)
+    return dict(verify.reduce_suite_checks(6) + verify.sums_suite_checks(6))
+
+
+def test_oracle_mismatch_lines_for_a_tiny_extra_term(monkeypatch):
+    # 10**-9 * n * H_n(1) is 10**-9 at n = 1, where these sums are still 0
+    checks = perturb_routes(monkeypatch, ClosedForm({(1,): Fraction(1, 10**9) * x}))
+    labels = ["reduce p=3 comp=(2,1) oracle"]
+    labels += [f"sum-power F#{i} t=3 oracle" for i in range(5)]
+    for label in labels:
+        assert checks[label]() == (False, "n=1: closed 1/1000000000 != direct 0")
+
+
+def test_oracle_mismatch_lines_past_the_first_n(monkeypatch):
+    # 10**-9 * H_n(3,1,1) first shows at n = 3, against nonzero direct values
+    checks = perturb_routes(monkeypatch, ClosedForm({(3, 1, 1): Fraction(1, 10**9)}))
+    for label, closed, direct in (
+        ("reduce p=1 comp=(1) oracle", "351000000001/54000000000", "13/2"),
+        ("reduce p=4 comp=(1,2) oracle", "2187000000001/54000000000", "81/2"),
+        ("sum-power-shifted F#4 t=2 oracle", "3027000000001/54000000000", "1009/18"),
+        ("sum-product F#1 H*H(2) oracle", "411750000001/54000000000", "61/8"),
+    ):
+        assert checks[label]() == (False, f"n=3: closed {closed} != direct {direct}")
+
+
+@given(
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=4),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=30),
+)
+def test_direct_weighted_sum_matches_fraction_sums(coeffs, t, start, max_n):
+    F = Polynomial(coeffs)
+    h = [mhs_eval(n, (2, 1)) for n in range(max_n + 1)]
+    nums, dens = verify._direct_weighted_sum(
+        F,
+        lambda n: (h[n - start].numerator ** t, h[n - start].denominator ** t),
+        max_n,
+        start,
+    )
+    acc, want = Fraction(0), []
+    for n in range(max_n + 1):
+        if n >= start:
+            acc += F.eval(n) * h[n - start] ** t
+        want.append(acc)
+    assert all(d > 0 for d in dens)
+    assert [Fraction(a, b) for a, b in zip(nums, dens)] == want
+
+
 def test_reduce_json_is_valid(capsys):
     code, out, _ = run_cli(
         ["reduce", "-p", "0", "--comp", "1", "--format", "json"], capsys

@@ -107,6 +107,17 @@ def test_values_edge_cases():
     assert [form.eval(n) for n in range(61)] == form.values(60)
 
 
+@given(kernel_forms, st.integers(0, 60))
+def test_ratios_are_the_values_as_int_pairs(form, N):
+    ratios = form._ratios(0, N)
+    assert all(type(a) is int and type(b) is int and b > 0 for a, b in ratios)
+    values = form.values(N)
+    assert [Fraction(a, b) for a, b in ratios] == values
+    assert all(type(v) is Fraction for v in values)
+    assert form._ratios(N // 2, N) == ratios[N // 2 :]
+    assert type(form.eval(N)) is Fraction and form.eval(N) == values[N]
+
+
 def test_arithmetic():
     doubled = SAMPLE + SAMPLE
     assert doubled == SAMPLE.scale(2)

@@ -1,12 +1,15 @@
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhsums.oracle import harmonic, is_proper, mhs_eval, mhs_values
+import mhsums
+from mhsums.oracle import _cache, _pairs, harmonic, is_proper, mhs_eval, mhs_values
 
 
 def brute(n, comp):
@@ -104,3 +107,136 @@ def test_is_proper():
     assert is_proper((3, 1))
     assert not is_proper((0, 1))
     assert not is_proper((1, -2))
+
+
+def fraction_values(comp, n, cache):
+    """The direct evaluator on tables of ``Fraction``s: the same back-to-front
+    walk over the suffixes, one ``Fraction`` sum and product per step."""
+    vals = cache.get(comp)
+    if vals is not None and len(vals) > n:
+        return vals
+    for i in range(min(len(comp), n + 1), -1, -1):
+        tail, suffix = vals, comp[i:]
+        vals = cache.setdefault(suffix, [Fraction(0) if suffix else Fraction(1)])
+        if not suffix:
+            vals.extend([Fraction(1)] * (n - i + 1 - len(vals)))
+            continue
+        for m in range(len(vals), n - i + 1):
+            vals.append(vals[m - 1] + Fraction(m) ** (-suffix[0]) * tail[m - 1])
+    return vals
+
+
+def assert_tables_reduced(comp, n):
+    """Every stored pair up to n of every suffix table of comp is in lowest
+    terms, over a positive denominator.  (Other tests may have grown the
+    tables far past n.)"""
+    for i in range(len(comp) + 1):
+        table = _cache.get(comp[i:])
+        if table is not None:
+            assert len(table.nums) == len(table.dens) == len(table)
+            for a, b in zip(table.nums[: n + 1], table.dens):
+                assert b > 0 and gcd(a, b) == 1
+
+
+extended_comps = st.tuples(
+    st.integers(-4, 4), st.lists(st.integers(1, 4), max_size=4)
+).map(lambda c: (c[0], *c[1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(extended_comps, st.integers(min_value=0, max_value=60))
+def test_tables_match_fraction_tables(comp, n):
+    want = fraction_values(comp, n, {})[: n + 1]
+    assert mhs_values(n, comp) == want
+    assert mhs_eval(n, comp) == want[n]
+    nums, dens = _pairs(n, comp)
+    assert [Fraction(a, b) for a, b in zip(nums[: n + 1], dens)] == want
+    assert_tables_reduced(comp, n)
+
+
+# compositions that share suffixes, so that one request extends the tables
+# another one made; n runs below the depths and down to 0
+shared_suffixes = (
+    (),
+    (1,),
+    (2, 1),
+    (1, 2, 1),
+    (-2, 1, 2, 1),
+    (3, 2, 1),
+    (0, 2, 1),
+    (-1,),
+    (4, 3, 2, 1),
+)
+requests = st.lists(
+    st.tuples(st.sampled_from(shared_suffixes), st.integers(min_value=0, max_value=12)),
+    min_size=1,
+    max_size=12,
+)
+reference: dict = {}
+for comp in shared_suffixes:
+    fraction_values(comp, 12, reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(requests)
+def test_requests_in_any_order_share_tables(order):
+    mhsums.clear_caches()
+    for comp, n in order:
+        assert mhs_values(n, comp) == reference[comp][: n + 1]
+        assert mhs_eval(n, comp) == reference[comp][n]
+        assert_tables_reduced(comp, n)
+
+
+def test_public_values_are_fresh_fractions():
+    vals = mhs_values(5, (2, 1))
+    assert all(type(v) is Fraction for v in vals)
+    assert type(mhs_eval(5, (2, 1))) is Fraction
+    assert type(mhs_eval(0, ())) is Fraction and type(harmonic(4)) is Fraction
+    vals[3] = Fraction(99)
+    vals.append(Fraction(7))
+    assert mhs_values(5, (2, 1)) == fraction_values((2, 1), 5, {})
+    assert mhs_values(5, (2, 1)) is not mhs_values(5, (2, 1))
+    assert len(mhs_values(2, (2, 1))) == 3
+
+
+def test_clear_caches_empties_the_tables():
+    want = mhs_eval(10, (1, 2))
+    assert _cache and (1, 2) in _cache and (2,) in _cache
+    mhsums.clear_caches()
+    assert _cache == {}
+    assert mhs_eval(10, (1, 2)) == want
+
+
+def test_two_threads_extend_and_read_one_table():
+    mhsums.clear_caches()
+    comp, top = (2, 1, 1), 150
+    want = fraction_values(comp, top, {})
+    bad = []
+    barrier = threading.Barrier(2)
+
+    def extend():
+        barrier.wait()
+        for n in range(0, top + 1, 3):
+            if mhs_values(n, comp) != want[: n + 1]:
+                bad.append(("extend", n))
+
+    def read():
+        barrier.wait()
+        for n in range(0, top + 1, 5):
+            nums, dens = _pairs(n, comp)
+            if Fraction(nums[n], dens[n]) != want[n] or mhs_eval(n, comp) != want[n]:
+                bad.append(("read", n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-table
+    try:
+        threads = [threading.Thread(target=f) for f in (extend, read)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert bad == []
+    assert mhs_values(top, comp) == want
+    assert_tables_reduced(comp, top)
