@@ -16,7 +16,7 @@ from .bernoulli import BernoulliTable, bernoulli, check_twoBs, umbral_eval
 from .closedform import ClosedForm
 from .oracle import harmonic, is_proper, mhs_eval, mhs_values
 from .polynomial import Polynomial, discrete_sum
-from .reducer import _bernoulli_ints, _c_poly, _faulhaber_ints, _reduce, c_poly
+from .reducer import _bernoulli_ints, _c_poly, _reduce, c_poly
 from .reducer import d_umbral, faulhaber, reduce, reduce_direct
 from .stuffle import _expand_power, _stuffle, composition_key, expand_power
 from .stuffle import product_combinations, stuffle
@@ -40,14 +40,13 @@ _MEMOS = (
     _c_poly,
     _reduce,
     _bernoulli_ints,
-    _faulhaber_ints,
     _stuffle,
     _expand_power,
 )
 
 
 def clear_caches() -> None:
-    """Empty every memo and table: the seven ``lru_cache`` memos of the
+    """Empty every memo and table: the six ``lru_cache`` memos of the
     reducer and the stuffle, the direct evaluator's tables and the shared
     Bernoulli table.  Results stay the same; they are computed again when
     next needed."""

@@ -75,10 +75,10 @@ def umbral_eval(P: Polynomial, convention: Convention = "plus") -> Fraction:
     """Umbral value of P: each power x**i is replaced by the i-th Bernoulli
     number, i.e. sum_i c_i * B_i."""
     acc = Fraction(0)
-    for i, c in enumerate(P.coeffs):
+    for i, c in enumerate(P._ints):
         if c:
             acc += c * bernoulli(i, convention)
-    return acc
+    return acc / P._den
 
 
 def check_twoBs(P: Polynomial) -> "tuple[bool, bool]":

@@ -13,12 +13,11 @@ import itertools
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .bernoulli import bernoulli
 from .closedform import term_json_obj
 from .oracle import _pairs
-from .polynomial import _FORMATS, Polynomial, _render
+from .polynomial import _FORMATS, Polynomial, _lowest, _render
 from .reducer import reduce, reduce_direct
 from .sums import structure_check, sum_power, sum_power_shifted, sum_product
 from .verify import SUITES, form_mismatch, run_table, run_verify
@@ -194,11 +193,10 @@ class _Parser:
                 divisor = self.factor()
                 if divisor.degree > 0:
                     raise PolyParseError("division only by a nonzero constant", off2)
-                c = divisor.coefficient(0)
-                if c == 0:
+                if not divisor:
                     raise PolyParseError("division by zero", off2)
                 _check_bits(_bits(acc) + _bits(divisor), off2)
-                acc = acc * (Fraction(1) / c)
+                acc = acc * divisor._den / divisor._ints[0]
             else:
                 return acc
 
@@ -259,8 +257,9 @@ class _Parser:
 
 
 def _bits(poly: Polynomial) -> int:
-    """Bit length of the largest numerator or denominator in ``poly``."""
-    sizes = (max(abs(c.numerator), c.denominator) for c in poly.coeffs)
+    """Bit length of the largest numerator or denominator in ``poly``, each
+    coefficient in lowest terms."""
+    sizes = [max(abs(c), d) for c, d in _lowest(poly._den, poly._ints)]
     return max(sizes, default=0).bit_length()
 
 
@@ -525,7 +524,7 @@ def _cmd_eval(args) -> int:
     if args.format == "json":
         print(json.dumps({"value": [num, den]}))
     elif den == 1:  # a constant polynomial, never negative
-        print(_render((num,), "n", args.format))
+        print(_render(1, (num,), "n", args.format))
     else:
         print(_FORMATS[args.format][0] % (num, den))
     return 0

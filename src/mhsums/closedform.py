@@ -8,25 +8,24 @@ the direct evaluator (``mhsums.oracle``) serves as the semantic backstop in
 the tests.
 
 Every form is built in one private accumulator, ``_Accumulator``: a mutable
-map from compositions to rows of int numerators, each over a denominator
-of its own, brought to a new lcm only when a new denominator arrives
+map from compositions to rows of int numerators, each over a denominator of
+its own, brought to a new lcm only when a new denominator arrives
 (``polynomial._muladd_over``).  The reducer and the sums add their power
-sums as ints (``add_ints``); ``add`` and ``add_form`` take ints and
-``Fraction``s.  It is frozen once, with one ``Fraction`` per coefficient.
-The constructor, ``+``, ``-``, ``scale`` and the reducer and sums modules
-all go through it; the ``ClosedForm`` they return stays immutable.
+sums as ints (``add_ints``); ``add`` and ``add_form`` take ints,
+``Fraction``s and polynomials.  ``freeze`` makes each row a ``Polynomial``
+with one gcd and no ``Fraction``.  The constructor, ``+``, ``-``, ``scale``
+and the reducer and sums modules all go through it; the ``ClosedForm`` they
+return stays immutable.
 
-Evaluation reads the form over one denominator: D is the lcm of every
-coefficient denominator, and each term's coefficients become the integers
-c * D.  Each term's H values come from one table of the direct evaluator,
-fetched once per call as int numerators and denominators in lowest terms
-(``oracle._pairs``); no ``Fraction`` is read from the oracle.  At each n,
-Horner's scheme runs on the ints, each product with H_n(comp) is brought to
-the lcm L of the H values' denominators at n, and the value is the int pair
-over L * D (``polynomial._horner_sum``, the one kernel behind ``eval`` and
-``values``).  ``values(max_n)`` and ``eval(n)`` build one ``Fraction`` per
-value from those pairs; ``verify`` compares the pairs themselves
-(``_ratios``) with the direct sums by cross multiplication.
+Evaluation reads the polynomials' rows over D, the lcm of their
+denominators.  Each term's H values come from one table of the direct
+evaluator, fetched once per call as int numerators and denominators in
+lowest terms (``oracle._pairs``).  At each n, Horner's scheme runs on the
+ints, each product with H_n(comp) is brought to the lcm L of the H values'
+denominators at n, and the value is the int pair over L * D
+(``polynomial._horner_sum``).  ``values(max_n)`` and ``eval(n)`` build one
+``Fraction`` per value from those pairs; ``verify`` compares the pairs
+themselves (``_ratios``) with the direct sums by cross multiplication.
 
 Terms render and serialize in one canonical order (weight, then depth, then
 lexicographic entries), so every emitter is deterministic.
@@ -35,29 +34,27 @@ lexicographic entries), so every emitter is deterministic.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .oracle import _pairs, is_proper
-from .polynomial import _FORMATS, Polynomial, _coefficients, _horner_sum
-from .polynomial import _integer_rows, _muladd, _muladd_over, _render
-from .polynomial import join_signed
+from .polynomial import _FORMATS, Polynomial, _horner_sum, _muladd, _muladd_over
+from .polynomial import _lowest, _reduced, _render, _row, join_signed
 from .stuffle import composition_key
 
 __all__ = ["ClosedForm", "term_json_obj"]
 
 Coefficient = Union[Polynomial, Fraction, int]
 
-_ZERO = Fraction(0)
 
-
-def _coeffs(value: Coefficient) -> "tuple[Fraction | int, ...]":
-    """Ascending coefficients of a polynomial or scalar coefficient."""
-    cs = _coefficients(value)
-    if cs is None:
+def _coeffs(value: Coefficient) -> "tuple[int, tuple[int, ...]]":
+    """``(den, ints)`` of a polynomial or scalar coefficient."""
+    row = _row(value)
+    if row is None:
         kind = type(value).__name__
         raise TypeError(f"expected a Polynomial or scalar, got {kind}")
-    return cs
+    return row
 
 
 class _Accumulator:
@@ -71,15 +68,18 @@ class _Accumulator:
     def __init__(self):
         self._rows: "dict[tuple[int, ...], list]" = {}  # comp -> [den, ints]
 
-    def add(self, comp: "tuple[int, ...]", coeffs, c: Coefficient = 1) -> None:
-        """Add c times the polynomial with ascending ``coeffs`` to ``comp``."""
-        self._add_product(comp, coeffs, _coeffs(c))
+    def add(
+        self, comp: "tuple[int, ...]", coeff: Coefficient, c: Coefficient = 1
+    ) -> None:
+        """Add c times the polynomial or scalar ``coeff`` to ``comp``."""
+        (aden, a), (bden, b) = _coeffs(coeff), _coeffs(c)
+        self.add_ints(comp, _muladd([], a, b), aden * bden)
 
     def add_form(self, form: "ClosedForm", c: Coefficient = 1) -> None:
         """Add c times every term of ``form``."""
-        factors = _coeffs(c)
+        _coeffs(c)  # a foreign factor raises, also for a form with no terms
         for comp, poly in form._terms.items():
-            self._add_product(comp, poly.coeffs, factors)
+            self.add(comp, poly, c)
 
     def add_ints(self, comp: "tuple[int, ...]", nums, den: int, c=1) -> None:
         """Add the rational c times the polynomial with ascending
@@ -90,20 +90,11 @@ class _Accumulator:
             entry = self._rows[comp] = [den, []]
         _muladd_over(entry, nums, den, c.numerator)
 
-    def _add_product(self, comp, coeffs, factors) -> None:
-        """Add the product of two ascending rows of ints and ``Fraction``s."""
-        try:
-            aden, (a,) = _integer_rows((coeffs,))
-            bden, (b,) = _integer_rows((factors,))
-        except AttributeError:  # a float, say, has no denominator
-            raise TypeError("coefficients must be ints or Fractions") from None
-        self.add_ints(comp, _muladd([], a, b), aden * bden)
-
     def freeze(self) -> "ClosedForm":
         """The sum so far, with trailing zeros trimmed and zero rows dropped."""
         terms = {}
         for comp, (den, row) in self._rows.items():
-            poly = Polynomial._of([Fraction(c, den) if c else _ZERO for c in row])
+            poly = _reduced(den, row)
             if poly:
                 terms[comp] = poly
         out = ClosedForm.__new__(ClosedForm)
@@ -125,7 +116,7 @@ class ClosedForm:
                 raise ValueError(
                     "closed-form terms must use proper compositions (entries >= 1)"
                 )
-            acc.add(comp, _coeffs(coeff))
+            acc.add(comp, coeff)
         object.__setattr__(self, "_terms", acc.freeze()._terms)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -207,7 +198,9 @@ class ClosedForm:
         always in lowest terms, over one table fetch per term."""
         if not self._terms:
             return [(0, 1)] * (hi + 1 - lo)
-        den, rows = _integer_rows([poly.coeffs for poly in self._terms.values()])
+        polys = self._terms.values()
+        den = math.lcm(*[poly._den for poly in polys])
+        rows = [[c * (den // poly._den) for c in poly._ints] for poly in polys]
         tables = [_pairs(hi, comp) for comp in self._terms]
         # one tuple per n of the terms' numerators, and one of their denominators
         nums = zip(*[nums[lo : hi + 1] for nums, _ in tables])
@@ -234,43 +227,54 @@ class ClosedForm:
 
     @classmethod
     def from_json(cls, text: str) -> "ClosedForm":
+        """The form ``to_json`` wrote; every entry must be a JSON integer."""
         try:
-            obj = json.loads(text)
             terms = {}
-            for entry in obj["terms"]:
-                comp = tuple(int(k) for k in entry["composition"])
-                coeffs = [Fraction(int(a), int(b)) for a, b in entry["coeff"]]
-                terms[comp] = Polynomial(coeffs)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            for entry in json.loads(text)["terms"]:
+                comp = tuple(_json_int(k) for k in entry["composition"])
+                if comp in terms:
+                    raise ValueError(f"composition {list(comp)} given twice")
+                pairs = [(_json_int(a), _json_int(b)) for a, b in entry["coeff"]]
+                terms[comp] = Polynomial([Fraction(a, b) for a, b in pairs])
+            return cls(terms)
+        except (
+            ArithmeticError, KeyError, RecursionError, TypeError, ValueError
+        ) as exc:
             raise ValueError(f"malformed closed-form JSON: {exc}") from exc
-        return cls(terms)
+
+
+def _json_int(value: object) -> int:
+    # JSON numbers with a fraction or an exponent load as floats, and
+    # booleans as an int subclass: neither is accepted as an integer
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def term_json_obj(comp: "tuple[int, ...]", poly: Polynomial) -> dict:
     """One term as JSON: its composition and [numerator, denominator] pairs
-    for the coefficients in ascending powers of n."""
-    return {
-        "composition": list(comp),
-        "coeff": [[c.numerator, c.denominator] for c in poly.coeffs],
-    }
+    in lowest terms for the coefficients in ascending powers of n."""
+    pairs = _lowest(poly._den, poly._ints)
+    return {"composition": list(comp), "coeff": [list(pair) for pair in pairs]}
 
 
 def _term(comp: "tuple[int, ...]", poly: Polynomial, fmt: str) -> "tuple[str, str]":
     """(sign, body) of one term.  The bare polynomial sorts first and keeps
     its own signs; any other coefficient gives up an overall minus sign when
     none of its coefficients is positive."""
+    den, ints = poly._den, poly._ints
     if not comp:
-        return "+", _render(poly.coeffs, "n", fmt)
-    sign, coeffs = "+", poly.coeffs
-    if all(c <= 0 for c in coeffs):
-        sign, coeffs = "-", tuple(-c for c in coeffs)
+        return "+", _render(den, ints, "n", fmt)
+    sign = "+"
+    if all(c <= 0 for c in ints):
+        sign, ints = "-", tuple(-c for c in ints)
     _, _, times, _, bracket, harmonic = _FORMATS[fmt]
     h = harmonic % ",".join(str(k) for k in comp)
     if fmt == "latex" and comp == (1,):
         h = "H_n"
-    if coeffs == (1,):
+    if den == 1 and ints == (1,):
         return sign, h
-    body = _render(coeffs, "n", fmt)
-    if sum(1 for c in coeffs if c) > 1:
+    body = _render(den, ints, "n", fmt)
+    if sum(1 for c in ints if c) > 1:
         body = bracket % body
     return sign, body + times + h

@@ -1,23 +1,21 @@
 """Exact dense univariate polynomial arithmetic over the rationals.
 
-Coefficients are ``fractions.Fraction`` values stored densely: index ``i``
-holds the coefficient of ``x**i``.  Trailing zeros are trimmed on
-construction, so equality is plain structural comparison and the zero
-polynomial has an empty coefficient tuple (degree -1 by convention).  Every
-operation is exact; nothing in this package ever rounds.  Coefficient
-arithmetic, here and in the closed-form accumulator, runs through one
-multiply-add kernel, ``_muladd``.  Where the time goes it runs on int
-numerators over one denominator (``_integer_rows``, ``_muladd_over``): the
-reducer's chain and power sums, the sums' levels, the closed-form
-accumulator and ``discrete_sum``.  Such a row becomes one ``Fraction`` per
-coefficient at the end, and a ``Polynomial`` through ``Polynomial._of``,
-which skips the public constructor's type checks.
-Every evaluation, here and of closed forms, runs Horner's scheme on integer
-numerators over one common denominator (``_integer_rows``, ``_horner_sum``),
-against weights given as int numerator and denominator lists, and gives an
+A ``Polynomial`` is one row of int numerators over one positive
+denominator: ``_ints[i] / _den`` is the coefficient of ``x**i``, with no
+trailing zero and ``gcd(_den, *_ints) == 1``.  So the representation is
+canonical, equality is structural, and the zero polynomial is ``(1, ())``
+(degree -1 by convention).  Nothing in this package ever rounds.
+``coeffs`` is the public boundary: it builds ``Fraction``s on demand, and
+nothing in the package reads it where the time goes.
+
+Arithmetic, ``shift``, ``derivative``, ``discrete_sum`` and the package's
+builders of polynomials run on the rows and end in ``_reduced``, which trims
+a row and divides out one gcd.  Rows are added and multiplied by one
+kernel, ``_muladd``, and evaluated by one, ``_horner_sum``, which gives an
 int pair; the public methods build one ``Fraction`` per value from it.  All
 text and LaTeX output, here, in closed forms and on the command line, is
-written from one format table, ``_FORMATS``.
+written from one format table, ``_FORMATS``, each coefficient reduced by one
+gcd (``_lowest``).
 """
 
 from __future__ import annotations
@@ -31,35 +29,27 @@ __all__ = ["Polynomial", "Scalar", "discrete_sum"]
 Scalar = Union[int, Fraction]
 
 
-def _frac(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _ratio(value: Scalar) -> "tuple[int, int]":
+    """(numerator, denominator) of an int or ``Fraction``, in lowest terms."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
 class Polynomial:
     """Immutable dense polynomial with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_den", "_ints")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def _of(cls, coeffs: "list[Fraction]") -> "Polynomial":
-        """The polynomial with ascending ``coeffs``, a list of ``Fraction``
-        values the package built itself: no type checks; trailing zeros are
-        trimmed."""
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        out = object.__new__(cls)
-        object.__setattr__(out, "coeffs", tuple(coeffs))
-        return out
+        pairs = [_ratio(c) for c in coeffs]
+        while pairs and not pairs[-1][0]:
+            pairs.pop()
+        # each coefficient is in lowest terms, so no prime of the lcm divides
+        # every numerator over it
+        den = math.lcm(*[d for _, d in pairs])
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_ints", tuple(n * (den // d) for n, d in pairs))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -85,30 +75,39 @@ class Polynomial:
         return cls((0,) * degree + (coeff,))
 
     @property
+    def coeffs(self) -> "tuple[Fraction, ...]":
+        """The ascending coefficients as ``Fraction``s, built on each read."""
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._ints)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self._ints):
+            return Fraction(self._ints[i], self._den)
         return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._ints)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Polynomial.constant(other)
-        return NotImplemented
+        row = _row(other)
+        if row is None:
+            return NotImplemented
+        return row == (self._den, self._ints)
 
     def __hash__(self) -> int:
-        return hash(("Polynomial", self.coeffs))
+        # a constant hashes like its value, since it compares equal to it
+        ints = self._ints
+        if len(ints) > 1:
+            return hash((self._den, ints))
+        return hash(Fraction(ints[0], self._den)) if ints else 0
 
     def __repr__(self) -> str:
         return f"Polynomial({self.text('x')!r})"
@@ -116,43 +115,46 @@ class Polynomial:
     # ------------------------------------------------------------ arithmetic
 
     def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        cs = _coefficients(other)
-        if cs is None:
+        row = _row(other)
+        if row is None:
             return NotImplemented
-        return Polynomial(_muladd(list(self.coeffs), cs, _ONE))
+        return _sum(self._den, self._ints, *row, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(_muladd([], self.coeffs, _MINUS_ONE))
+        return _reduced(self._den, [-c for c in self._ints])
 
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        cs = _coefficients(other)
-        if cs is None:
+        row = _row(other)
+        if row is None:
             return NotImplemented
-        return Polynomial(_muladd(list(self.coeffs), cs, _MINUS_ONE))
+        return _sum(self._den, self._ints, *row, -1)
 
     def __rsub__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        cs = _coefficients(other)
-        if cs is None:
+        row = _row(other)
+        if row is None:
             return NotImplemented
-        return Polynomial(_muladd(list(cs), self.coeffs, _MINUS_ONE))
+        return _sum(*row, self._den, self._ints, -1)
 
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        cs = _coefficients(other)
-        if cs is None:
+        row = _row(other)
+        if row is None:
             return NotImplemented
-        return Polynomial(_muladd([], self.coeffs, cs))
+        den, ints = row
+        return _reduced(self._den * den, _muladd([], self._ints, ints))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalar) -> "Polynomial":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        f = _frac(other)
-        if f == 0:
+        num, den = _ratio(other)
+        if num == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return self * (Fraction(1) / f)
+        if num < 0:
+            num, den = -num, -den
+        return _reduced(self._den * num, [c * den for c in self._ints])
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
@@ -169,49 +171,74 @@ class Polynomial:
     # ------------------------------------------------------------ operations
 
     def eval(self, x: Scalar) -> Fraction:
-        """Value at x by Horner's scheme: on ints over one denominator
-        (``_horner_sum``) when x is an integer, on ``Fraction`` values
-        otherwise."""
-        if not isinstance(x, int):
-            x = _frac(x)
-            if x.denominator != 1:
-                acc = Fraction(0)
-                for c in reversed(self.coeffs):
-                    acc = acc * x + c
-                return acc
-            x = x.numerator
-        den, rows = _integer_rows((self.coeffs,))
-        return Fraction(*_horner_sum(rows, _ONE, _ONE, x, den))
+        """Value at x = a/b by Horner's scheme on ints (``_horner_sum``):
+        sum_i c_i a**i b**(d-i) over den * b**d, for the degree d."""
+        (a, b), d = _ratio(x), max(self.degree, 0)
+        row = [c * b ** (d - i) for i, c in enumerate(self._ints)]
+        return Fraction(*_horner_sum((row,), _ONE, _ONE, a, self._den * b**d))
 
     def shift(self, c: Scalar) -> "Polynomial":
-        """The composed polynomial x |-> P(x + c), by Horner's rule in x + c."""
-        step = (_frac(c), 1)
+        """The composed polynomial x |-> P(x + c), by Horner's rule in x + c:
+        for c = a/b, b**d P(x + a/b) is Q(b x + a), where Q's coefficients
+        are c_i b**(d-i)."""
+        (a, b), d = _ratio(c), self.degree
         row: list = []
-        for coeff in reversed(self.coeffs):
-            row = _muladd([coeff], row, step)
-        return Polynomial(row)
+        for i in range(d, -1, -1):
+            row = _muladd([self._ints[i] * b ** (d - i)], row, (a, b))
+        return _reduced(self._den * b ** max(d, 0), row)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return _reduced(self._den, [i * c for i, c in enumerate(self._ints) if i])
 
     def divide_x(self) -> "Polynomial":
         """Exact quotient P(x) / x; requires a zero constant term."""
         if self.is_zero:
-            return Polynomial()
-        if self.coeffs[0] != 0:
+            return self
+        if self._ints[0]:
             raise ValueError("not divisible by x")
-        return Polynomial(self.coeffs[1:])
+        return _reduced(self._den, list(self._ints[1:]))
 
     # ------------------------------------------------------------- rendering
 
     def text(self, var: str = "n") -> str:
         """Plain-text form, descending powers, e.g. ``3*n^2 - 5*n + 2``."""
-        return _render(self.coeffs, var, "text")
+        return _render(self._den, self._ints, var, "text")
 
     def latex(self, var: str = "n") -> str:
-        return _render(self.coeffs, var, "latex")
+        return _render(self._den, self._ints, var, "latex")
 
     __str__ = text
+
+
+def _reduced(den: int, ints: "list[int]") -> Polynomial:
+    """The polynomial ints / den for a list of ints and den > 0: trailing
+    zeros trimmed from the list in place, then one gcd divided out."""
+    while ints and not ints[-1]:
+        ints.pop()
+    g = math.gcd(den, *ints)
+    if g != 1:
+        den //= g
+        ints = [c // g for c in ints]
+    out = object.__new__(Polynomial)
+    object.__setattr__(out, "_den", den)
+    object.__setattr__(out, "_ints", tuple(ints))
+    return out
+
+
+def _sum(aden: int, a, bden: int, b, sign: int) -> Polynomial:
+    """a / aden + sign * b / bden, over the lcm of the two denominators."""
+    entry = [aden, list(a)]
+    _muladd_over(entry, b, bden, sign)
+    return _reduced(*entry)
+
+
+def _row(value: object) -> "tuple[int, tuple[int, ...]] | None":
+    """``(den, ints)`` of a polynomial or scalar; None for any other value."""
+    if isinstance(value, Polynomial):
+        return value._den, value._ints
+    if isinstance(value, (int, Fraction)):
+        return value.denominator, (value.numerator,) if value else ()
+    return None
 
 
 # How each format writes a rational that is not an integer, a power of the
@@ -224,24 +251,26 @@ _FORMATS = {
 }
 
 
-def _render(coeffs, var: str, fmt: str) -> str:
-    """The polynomial with ascending ``coeffs`` in descending powers of
-    ``var``, written in one of the ``_FORMATS``."""
+def _render(den: int, ints, var: str, fmt: str) -> str:
+    """The polynomial with ascending coefficients ints / den in descending
+    powers of ``var``, written in one of the ``_FORMATS``."""
     fraction, power, times, pad, _, _ = _FORMATS[fmt]
     parts = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
+    for i, (c, d) in reversed(list(enumerate(_lowest(den, ints)))):
         if c:
             a = abs(c)
-            if a.denominator == 1:
-                body = str(a.numerator)
-            else:
-                body = fraction % (a.numerator, a.denominator)
+            body = str(a) if d == 1 else fraction % (a, d)
             if i:
                 v = var if i == 1 else power % (var, i)
-                body = v if a == 1 else body + times + v
+                body = v if a == d == 1 else body + times + v
             parts.append(("-" if c < 0 else "+", body))
     return join_signed(parts, pad)
+
+
+def _lowest(den: int, ints) -> "list[tuple[int, int]]":
+    """(numerator, denominator) of each coefficient ints[i] / den, in lowest
+    terms by one gcd each."""
+    return [(c // g, den // g) for c in ints for g in (math.gcd(c, den),)]
 
 
 def join_signed(parts: "list[tuple[str, str]]", pad: str = " ") -> str:
@@ -257,39 +286,18 @@ def join_signed(parts: "list[tuple[str, str]]", pad: str = " ") -> str:
     return head + "".join(f"{pad}{sign}{pad}{body}" for sign, body in rest)
 
 
-def _coefficients(value: object) -> "tuple[Scalar, ...] | None":
-    """Ascending coefficients of a polynomial or scalar; None for any other
-    value.  A scalar is its own one-entry sequence."""
-    if isinstance(value, Polynomial):
-        return value.coeffs
-    if isinstance(value, (int, Fraction)):
-        return (value,)
-    return None
-
-
-def _integer_rows(rows) -> "tuple[int, list[list[int]]]":
-    """``(D, integer rows)`` of ascending int or ``Fraction`` coefficient
-    rows: D is the lcm of every denominator in them, and each row becomes its
-    coefficients times D, as ints, still ascending."""
-    # lcm of a list, here and in _horner_sum: unpacking a generator builds an
-    # oversized tuple and shrinks it, which filled the tuple free lists and
-    # raised verify's peak memory by about 1 MB
-    den = math.lcm(*[c.denominator for row in rows for c in row])
-    return den, [
-        [c.numerator * (den // c.denominator) for c in row] for row in rows
-    ]
-
-
 def _horner_sum(rows: "list[list[int]]", nums, dens, x: int, den: int):
     """sum_i P_i(x) * nums[i] / dens[i] for an integer x, as an int pair
     (numerator, denominator > 0), not always in lowest terms.
 
-    Row i holds the ascending integer coefficients of den * P_i
-    (``_integer_rows``), and weight i is the int pair nums[i] / dens[i],
-    dens[i] > 0.  Horner's scheme runs on ints; each product is brought to
-    the lcm L of the weights' denominators, and the pair's denominator is
-    L * den.
+    Row i holds the ascending integer coefficients of den * P_i, and weight i
+    is the int pair nums[i] / dens[i], dens[i] > 0.  Horner's scheme runs on
+    ints; each product is brought to the lcm L of the weights'
+    denominators, and the pair's denominator is L * den.
     """
+    # lcm of a list: unpacking a generator builds an oversized tuple and
+    # shrinks it, which filled the tuple free lists and raised verify's peak
+    # memory by about 1 MB
     lcm = math.lcm(*dens)
     total = 0
     for row, a, b in zip(rows, nums, dens):
@@ -302,7 +310,6 @@ def _horner_sum(rows: "list[list[int]]", nums, dens, x: int, den: int):
 
 
 _ONE = (1,)
-_MINUS_ONE = (-1,)
 
 
 def _muladd(row: list, a, b) -> list:
@@ -353,10 +360,10 @@ def discrete_sum(F: Polynomial) -> Polynomial:
     """
     d = F.degree
     if d < 0:
-        return Polynomial()
+        return F
     # den * F(0), ..., den * F(d) as ints; the j-th forward difference is
     # divided by (j + 1)!, so the sum is built over den * (d + 1)!
-    den, (row,) = _integer_rows(([F.eval(i) for i in range(d + 1)],))
+    row = [_horner_sum((F._ints,), _ONE, _ONE, i, 1)[0] for i in range(d + 1)]
     top = math.factorial(d + 1)
     out = [-row[0] * top]
     falling = [1]  # (x + 1) x ... (x + 2 - j), integer coefficients
@@ -370,5 +377,4 @@ def discrete_sum(F: Polynomial) -> Polynomial:
             _muladd(out, falling, (row[0] * (top // math.factorial(j + 1)),))
         row = [b - a for a, b in zip(row, row[1:])]
         j += 1
-    den *= top
-    return Polynomial._of([Fraction(c, den) for c in out])
+    return _reduced(F._den * top, out)

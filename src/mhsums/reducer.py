@@ -40,12 +40,13 @@ which holds no reduction logic.
 
 Where the time goes, the arithmetic runs on integers over one denominator.
 The chain's states are int numerators over a shared denominator; each step
-reads B_0..B_h once, as ints over their lcm (``_bernoulli_ints``).
-``c_poly`` makes one ``Fraction`` per coefficient; ``reduce_direct`` adds
-its states to the accumulator as ints.  The power sums of the summation by
-parts (``_power_sum``) take and return ints over a denominator, adding
-Faulhaber's rows as ints over their lcm (``_faulhaber_ints``), and the walk
-adds them to the accumulator as they are.
+reads B_0..B_h once, as ints over their lcm (``_bernoulli_ints``), which
+``faulhaber`` reads too.  ``c_poly`` and ``faulhaber`` hand their rows to
+``Polynomial`` as they are; ``reduce_direct`` adds its states to the
+accumulator as ints.  The power sums of the summation by parts
+(``_power_sum``) take and return ints over a denominator, adding
+Faulhaber's rows over their lcm, and the walk adds them to the accumulator
+as they are.
 """
 
 from __future__ import annotations
@@ -57,11 +58,9 @@ from functools import lru_cache
 from .bernoulli import bernoulli, umbral_eval
 from .closedform import ClosedForm, _Accumulator
 from .oracle import is_proper
-from .polynomial import Polynomial, _integer_rows, _muladd
+from .polynomial import Polynomial, _muladd, _reduced
 
 __all__ = ["faulhaber", "c_poly", "d_umbral", "reduce", "reduce_direct"]
-
-_ZERO = Fraction(0)
 
 
 def _check_power(p: int) -> None:
@@ -77,12 +76,11 @@ def faulhaber(p: int) -> Polynomial:
     (1/(p+1)) * sum_{j=0..p} C(p+1, j) * B_j * x**(p+1-j).
     """
     _check_power(p)
-    coeffs = [_ZERO] * (p + 2)
-    for j in range(p + 1):
-        b = bernoulli(j, "plus")
-        if b:
-            coeffs[p + 1 - j] = Fraction(math.comb(p + 1, j), p + 1) * b
-    return Polynomial._of(coeffs)
+    bden, brow = _bernoulli_ints(p)
+    ints = [0] * (p + 2)
+    for j, b in enumerate(brow):
+        ints[p + 1 - j] = math.comb(p + 1, j) * b
+    return _reduced((p + 1) * bden, ints)
 
 
 def c_poly(p: int, index: "tuple[int, ...]" = ()) -> Polynomial:
@@ -138,8 +136,9 @@ def _chain_step(
 def _bernoulli_ints(h: int) -> "tuple[int, tuple[int, ...]]":
     """``(bden, (B_0 * bden, ..., B_h * bden))`` in the plus convention, with
     bden the lcm of the denominators."""
-    bden, (row,) = _integer_rows(([bernoulli(j, "plus") for j in range(h + 1)],))
-    return bden, tuple(row)
+    values = [bernoulli(j, "plus") for j in range(h + 1)]
+    bden = math.lcm(*[b.denominator for b in values])
+    return bden, tuple(b.numerator * (bden // b.denominator) for b in values)
 
 
 @lru_cache(maxsize=None)
@@ -149,10 +148,10 @@ def _c_poly(p: int, index: "tuple[int, ...]") -> Polynomial:
     states, den = {0: 1}, 1
     for a in subs:
         states, den = _chain_step(states, den, p + 1 - a, top - 1)
-    coeffs = [_ZERO] * (top + 1)
+    ints = [0] * (top + 1)
     for s, acc in states.items():
-        coeffs[top - s] = Fraction(acc, den)
-    return Polynomial._of(coeffs)
+        ints[top - s] = acc
+    return _reduced(den, ints)
 
 
 def d_umbral(p: int, index: "tuple[int, ...]" = ()) -> Fraction:
@@ -174,7 +173,7 @@ def reduce(p: int, comp: "tuple[int, ...]" = ()) -> ClosedForm:
 
 @lru_cache(maxsize=None)
 def _reduce(p: int, comp: "tuple[int, ...]") -> ClosedForm:
-    return _by_parts({comp: 1}, [0] * p + [1])
+    return _by_parts({comp: 1}, Polynomial.monomial(p))
 
 
 def _power_sum(G: "list[int]", den: int) -> "tuple[list[int], int]":
@@ -184,11 +183,11 @@ def _power_sum(G: "list[int]", den: int) -> "tuple[list[int], int]":
     terms = [(q, g) for q, g in enumerate(G) if g]
     if not terms:
         return [], 1
-    rows = [_faulhaber_ints(q) for q, _ in terms]
-    fden = math.lcm(*[d for d, _ in rows])
+    rows = [faulhaber(q) for q, _ in terms]
+    fden = math.lcm(*[row._den for row in rows])
     total: "list[int]" = []
-    for (_, g), (d, row) in zip(terms, rows):
-        _muladd(total, row, (g * (fden // d),))
+    for (_, g), row in zip(terms, rows):
+        _muladd(total, row._ints, (g * (fden // row._den),))
     den *= fden
     g = math.gcd(den, *total)
     if g > 1:
@@ -196,22 +195,13 @@ def _power_sum(G: "list[int]", den: int) -> "tuple[list[int], int]":
     return total, den // g
 
 
-@lru_cache(maxsize=None)
-def _faulhaber_ints(q: int) -> "tuple[int, tuple[int, ...]]":
-    """``(den, ascending coefficients of faulhaber(q) times den)`` as ints,
-    with den the lcm of the denominators."""
-    den, (row,) = _integer_rows((faulhaber(q).coeffs,))
-    return den, tuple(row)
-
-
-def _by_parts(comb, weight) -> ClosedForm:
+def _by_parts(comb, weight: Polynomial) -> ClosedForm:
     """Closed form of sum_{m=1..n} G(m) * (the combination ``comb`` of
-    H_{m-1} sums), with G given by its ascending coefficients ``weight``:
-    one walk per composition, all into one accumulator."""
+    H_{m-1} sums) for the polynomial G = ``weight``: one walk per
+    composition, all into one accumulator."""
     out = _Accumulator()
-    wden, (weight,) = _integer_rows((weight,))
     for comp, c in comb.items():
-        G, den = weight, wden
+        G, den = weight._ints, weight._den
         for i in range(len(comp) + 1):
             if not c or not any(G):
                 break

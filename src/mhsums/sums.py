@@ -18,8 +18,8 @@ e.g. H_{m-1} * H_{m-1}(2): a state is the vector of multiplicities per
 distinct order, and a step from v to w < v carries -prod_i C(v_i, w_i) and
 the shift J = sum_i k_i (v_i - w_i).  Every state is visited once, from the
 top down, and all of them add into one accumulator.  Weights, tails and
-power sums are int numerators over a denominator, up to the accumulator's
-one ``Fraction`` per output coefficient.
+power sums are int numerators over a denominator, read from and frozen into
+polynomials' int rows as they are.
 ``sum_power_shifted`` handles the H_m (unshifted-argument) variant via
 sum_{m=0..n} F(m) H_m**t = F(n) H_n**t + sum_{m=1..n} F(m-1) H_{m-1}**t;
 it and ``structure_check`` add their extra terms to the same accumulator.
@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from .bernoulli import bernoulli, umbral_eval
 from .closedform import ClosedForm, _Accumulator
-from .polynomial import Polynomial, _integer_rows, _muladd_over, discrete_sum
+from .polynomial import Polynomial, _muladd_over, discrete_sum
 from .reducer import _check_power, _power_sum, c_poly, d_umbral, faulhaber
 from .stuffle import expand_power, product_combinations
 
@@ -75,7 +75,7 @@ def _power_levels(out: _Accumulator, F: Polynomial, t: int) -> None:
     _check_weight(F)
     if not isinstance(t, int) or t < 0:
         raise ValueError("the power must be a nonnegative integer")
-    _levels(out, F.coeffs, ((1, t),))
+    _levels(out, F, ((1, t),))
 
 
 def sum_power_shifted(F: Polynomial, t: int) -> ClosedForm:
@@ -89,9 +89,8 @@ def sum_power_shifted(F: Polynomial, t: int) -> ClosedForm:
 
 def _add_combination(out: _Accumulator, comb, P: Polynomial) -> None:
     """Add P(n) times the combination ``comb`` of H_n sums to ``out``."""
-    den, (row,) = _integer_rows((P.coeffs,))
     for comp, c in comb.items():
-        out.add_ints(comp, row, den, c)
+        out.add_ints(comp, P._ints, P._den, c)
 
 
 def sum_product(F: Polynomial, factors: "list[tuple[int, int]]") -> ClosedForm:
@@ -108,18 +107,18 @@ def sum_product(F: Polynomial, factors: "list[tuple[int, int]]") -> ClosedForm:
             raise ValueError("factor multiplicities must be positive integers")
         powers[order] = powers.get(order, 0) + mult
     out = _Accumulator()
-    _levels(out, F.coeffs, tuple(powers.items()))
+    _levels(out, F, tuple(powers.items()))
     return out.freeze()
 
 
-def _levels(out: _Accumulator, weight, powers) -> None:
-    """Add sum_{m=1..n} G(m) * prod_i H_{m-1}(k_i)**e_i to ``out``, with G
-    given by its ascending coefficients ``weight`` and ``powers`` the pairs
-    (k_i, e_i) of distinct orders: summation by parts level by level, one
-    merged weight per vector of exponents (see the module docstring)."""
-    den, (G,) = _integer_rows((weight,))
-    if not any(G):
+def _levels(out: _Accumulator, weight: Polynomial, powers) -> None:
+    """Add sum_{m=1..n} G(m) * prod_i H_{m-1}(k_i)**e_i to ``out``, for the
+    polynomial G = ``weight`` and ``powers`` the pairs (k_i, e_i) of
+    distinct orders: summation by parts level by level, one merged weight
+    per vector of exponents (see the module docstring)."""
+    if not weight:
         return
+    den, G = weight._den, weight._ints
     orders = [k for k, _ in powers]
     # descending lexicographic order: every state comes before those below it
     states = list(itertools.product(*(range(e, -1, -1) for _, e in powers)))

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .closedform import ClosedForm
 from .oracle import _pairs
-from .polynomial import Polynomial, _horner_sum, _integer_rows
+from .polynomial import Polynomial, _horner_sum
 from .reducer import reduce, reduce_direct
 from .stuffle import composition_key
 from .sums import (
@@ -103,7 +103,7 @@ def _direct_weighted_sum(F: Polynomial, factor_values, max_n: int, start: int):
     as a pair of int lists (nums, dens); ``factor_values(n)`` gives the
     product as an int pair (numerator, denominator > 0).  The sums run over
     the lcm of the terms' denominators."""
-    den, rows = _integer_rows((F.coeffs,))
+    den, rows = F._den, (F._ints,)
     nums, dens = [], []
     acc, lcm = 0, 1
     for n in range(0, max_n + 1):

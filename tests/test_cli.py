@@ -166,6 +166,11 @@ def test_constant_limit(no_digit_guard):
     assert parse_poly(str(largest)) == Polynomial.constant(largest)
     # the bit lengths of a product's factors add up: m's coefficient has one
     assert parse_poly(f"{2 ** (MAX_CONSTANT_BITS - 1) - 1}*m").degree == 1
+    # each coefficient is measured in lowest terms: 10,001 + 20,001 bits,
+    # where the row's shared numerator of the first factor alone has 20,001
+    A = 2 ** 10_000
+    text = "(1/(2^100)^100*m^2 + (2^100)^100)*((2^100)^100)^2"
+    assert parse_poly(text) == Polynomial((A**3, 0, A))
     # offsets: the literal, the exponent, or the factor that pushes a
     # numerator or denominator over
     for text, offset in (

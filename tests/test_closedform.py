@@ -243,6 +243,31 @@ def test_json_round_trip():
     assert again.render("json") == SAMPLE.render("json")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # non-integers, strings, booleans and an overflowing float
+        '{"terms": [{"composition": [1.7], "coeff": [[1.5, 2]]}]}',
+        '{"terms": [{"composition": [1], "coeff": [["3", 2]]}]}',
+        '{"terms": [{"composition": [true], "coeff": [[1, 2]]}]}',
+        '{"terms": [{"composition": [1], "coeff": [[1e400, 1]]}]}',
+        '{"terms": [{"composition": [1], "coeff": [[1, 0]]}]}',
+        '{"terms": [{"composition": [0], "coeff": [[1, 1]]}]}',
+        '{"terms": [{"composition": [1], "coeff": [[1, 2, 3]]}]}',
+        '{"terms": [{"composition": [1]}]}',
+        '{"terms": 5}',
+        '{"terms": [{"composition": [1], "coeff": [[1, 1]]},'
+        ' {"composition": [1], "coeff": [[2, 1]]}]}',
+        "[" * 100_000,
+        "[1]",
+        "{",
+    ],
+)
+def test_from_json_rejects_malformed(text):
+    with pytest.raises(ValueError, match="^malformed closed-form JSON: "):
+        ClosedForm.from_json(text)
+
+
 # ------------------------------------------------------------ accumulation
 
 
@@ -296,11 +321,11 @@ def test_accumulation_matches_reference_fold(pairs):
 
 def test_accumulator_drops_cancelled_rows_and_trims():
     acc = _Accumulator()
-    acc.add((1,), (1, 2, 3))
-    acc.add((1,), (0, 0, 3), -1)
-    acc.add((2,), (5,))
-    acc.add((2,), (5,), Fraction(-1))
-    acc.add((3,), ())
+    acc.add((1,), Polynomial((1, 2, 3)))
+    acc.add((1,), Polynomial((0, 0, 3)), -1)
+    acc.add((2,), Polynomial((5,)))
+    acc.add((2,), Polynomial((5,)), Fraction(-1))
+    acc.add((3,), Polynomial(()))
     assert coefficient_map(acc.freeze()) == {(1,): (1, 2)}
     assert ClosedForm([((1,), x), ((1,), -x)]) == ClosedForm({})
     assert coefficient_map(ClosedForm([((1,), x + 1), ((1,), -x)])) == {(1,): (1,)}
@@ -320,7 +345,7 @@ def test_accumulator_rows_over_different_denominators():
     acc.add_ints((1,), [1, 2], 6)
     acc.add_ints((1,), [3], 3, Fraction(5, 7))  # 5/7 * 1, over 21
     acc.add_ints((1,), [0, 0, 1], 4, -2)
-    acc.add((1,), (Fraction(1, 10), 0, Fraction(3, 5)), x + Fraction(1, 2))
+    acc.add((1,), Polynomial((Fraction(1, 10), 0, Fraction(3, 5))), x + Fraction(1, 2))
     want = (
         Polynomial((Fraction(1, 6), Fraction(1, 3)))
         + Fraction(5, 7)
@@ -347,7 +372,7 @@ def test_accumulator_cancels_across_denominators_and_trims():
     acc.add_ints((2,), [1, 2], 3, -1)
     # the top coefficients cancel, so the row is trimmed to degree 1
     acc.add_ints((3,), [1, 1, 3], 5)
-    acc.add((3,), (0, 0, Fraction(3, 5)), -1)
+    acc.add((3,), Polynomial((0, 0, Fraction(3, 5))), -1)
     acc.add_ints((3,), [0, 0, 0, 7, 1], 2)
     acc.add_ints((3,), [0, 0, 0, 14, 2], 4, -1)
     form = acc.freeze()
@@ -357,7 +382,7 @@ def test_accumulator_cancels_across_denominators_and_trims():
 
 def test_frozen_coefficients_are_fractions():
     acc = _Accumulator()
-    acc.add((1,), (1, 0, 3))  # an interior zero
+    acc.add((1,), Polynomial((1, 0, 3)))  # an interior zero
     acc.add_ints((2,), [4, 0, 0, 2], 2)
     acc.add_ints((), [6], 3)
     acc.add_form(SAMPLE, 3)
@@ -371,8 +396,8 @@ def test_frozen_coefficients_are_fractions():
 def test_accumulator_rejects_floats():
     acc = _Accumulator()
     with pytest.raises(TypeError):
-        acc.add((1,), (0.5,))
+        acc.add((1,), 0.5)
     with pytest.raises(TypeError):
-        acc.add((1,), (1,), 0.5)
+        acc.add((1,), Polynomial((1,)), 0.5)
     with pytest.raises(TypeError):
         acc.add_form(SAMPLE, 0.5)

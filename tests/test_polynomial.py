@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -222,3 +223,116 @@ def test_discrete_sum_coefficients_are_fractions(F):
     coeffs = discrete_sum(F).coeffs
     assert all(type(c) is Fraction for c in coeffs)
     assert not coeffs or coeffs[-1] != 0
+
+
+def test_hash_agrees_with_equality():
+    # a constant compares equal to its value, so it hashes like it
+    for value in (0, 1, -7, 2**100, Fraction(3, 4), Fraction(-5, 2)):
+        p = Polynomial.constant(value)
+        assert p == value and hash(p) == hash(value)
+        assert len({value, p}) == 1
+    assert len({1, Polynomial.constant(1)}) == 1
+    assert len({0, Polynomial.zero()}) == 1
+    # equal polynomials built by different routes hash equal
+    a, b = (x + 1) ** 2, x * x + 2 * x + Fraction(2, 2)
+    assert a == b and hash(a) == hash(b)
+    c = x / 3 + Fraction(1, 6)
+    assert hash(c) == hash(Polynomial((Fraction(1, 6), Fraction(1, 3))))
+
+
+@given(polys, polys)
+def test_equal_polynomials_hash_equal(p, q):
+    for same in (Polynomial(p.coeffs), p + q - q, (p * 3) / 3, p.shift(2).shift(-2)):
+        assert same == p and hash(same) == hash(p)
+
+
+# ---------------------------------------------- the representation invariant
+
+
+def trimmed(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return trimmed(u + sign * v for u, v in zip(a, b))
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return trimmed(out)
+
+
+def ref_eval(cs, v):
+    return sum((c * Fraction(v) ** i for i, c in enumerate(cs)), Fraction(0))
+
+
+def ref_interpolate(points):
+    """Ascending coefficients of the polynomial through ``points``, by
+    Lagrange's formula."""
+    out = (Fraction(0),)
+    for i, (xi, yi) in enumerate(points):
+        basis, scale = (Fraction(1),), Fraction(yi)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = ref_mul(basis, (-xj, 1))
+                scale /= xi - xj
+        out = ref_add(out, ref_mul(basis, (scale,)))
+    return out
+
+
+def assert_canonical(p, want):
+    den, ints = p._den, p._ints
+    assert type(den) is int and den > 0
+    assert type(ints) is tuple and all(type(c) is int for c in ints)
+    assert math.gcd(den, *ints) == 1
+    assert not ints or ints[-1] != 0
+    assert p.coeffs == trimmed(want)
+    assert all(type(c) is Fraction for c in p.coeffs)
+
+
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=40)
+rows = st.lists(st.one_of(st.just(0), st.integers(-50, 50), rationals), max_size=6)
+
+
+@given(rows, rows, rationals, st.integers(0, 4))
+def test_every_operation_keeps_the_representation_canonical(a, b, c, k):
+    p, q = Polynomial(a), Polynomial(b)
+    a, b = trimmed(a), trimmed(b)
+    assert_canonical(p, a)
+    assert_canonical(q, b)
+    assert_canonical(p + q, ref_add(a, b))
+    assert_canonical(p - q, ref_add(a, b, -1))
+    assert_canonical(c - p, ref_add((c,), a, -1))
+    assert_canonical(-p, ref_add((), a, -1))
+    assert_canonical(p * q, ref_mul(a, b))
+    assert_canonical(p * c, ref_mul(a, (c,)))
+    if c:
+        assert_canonical(p / c, ref_mul(a, (1 / c,)))
+    power = (Fraction(1),)
+    for _ in range(k):
+        power = ref_mul(power, a)
+    assert_canonical(p**k, power)
+    shifted = ()
+    for i, ci in enumerate(a):
+        term = (ci,)
+        for _ in range(i):
+            term = ref_mul(term, (c, 1))
+        shifted = ref_add(shifted, term)
+    assert_canonical(p.shift(c), shifted)
+    assert_canonical(p.derivative(), [i * ci for i, ci in enumerate(a)][1:])
+    if not a or a[0] == 0:
+        assert_canonical(p.divide_x(), a[1:])
+    # the sum has degree deg(p) + 1, so deg(p) + 2 = len(a) + 1 points fix it
+    partial = [Fraction(0)]
+    for m in range(1, len(a) + 1):
+        partial.append(partial[-1] + ref_eval(a, m))
+    assert_canonical(discrete_sum(p), ref_interpolate(list(enumerate(partial))))
+    assert p.eval(c) == ref_eval(a, c)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mhsums.bernoulli import bernoulli, umbral_eval
 from mhsums.closedform import ClosedForm
 from mhsums.oracle import mhs_eval, mhs_values
-from mhsums.polynomial import Polynomial, _integer_rows, _muladd, discrete_sum
+from mhsums.polynomial import Polynomial, _muladd, discrete_sum
 from mhsums.reducer import _chain_step, _power_sum, c_poly, d_umbral, faulhaber
 from mhsums.reducer import reduce, reduce_direct
 from mhsums.verify import compositions_up_to
@@ -536,8 +536,8 @@ def test_power_sum_matches_faulhaber_rows(G):
     for q, g in enumerate(G):
         if g:
             _muladd(reference, faulhaber(q).coeffs, (g,))
-    den, (ints,) = _integer_rows((G,))
-    S, sden = _power_sum(ints, den)
+    weight = Polynomial(G)
+    S, sden = _power_sum(weight._ints, weight._den)
     assert [Fraction(c, sden) for c in S] == reference
     # _by_parts and the sums' levels read len(S), S[j] and S[k:]
     assert len(S) == len(reference)

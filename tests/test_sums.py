@@ -91,7 +91,7 @@ def test_levels_match_by_parts():
     weights = (one, x, 3 * x * x - 5 * x + 2, x ** 5 - x / 3, dense)
     for F in weights:
         for t in range(8):
-            assert sum_power(F, t) == _by_parts(expand_power(1, t), F.coeffs)
+            assert sum_power(F, t) == _by_parts(expand_power(1, t), F)
     factor_lists = (
         [(1, 1), (1, 2)],
         [(2, 1), (3, 2)],
@@ -105,7 +105,7 @@ def test_levels_match_by_parts():
         for order, mult in factors:
             comb = product_combinations(comb, expand_power(order, mult))
         for F in weights:
-            assert sum_product(F, factors) == _by_parts(comb, F.coeffs)
+            assert sum_product(F, factors) == _by_parts(comb, F)
     F = weights[2]
     assert sum_product(F, [(2, 1), (2, 1)]) == sum_product(F, [(2, 2)])
     assert sum_product(F, [(1, 1), (1, 2)]) == sum_power(F, 3)
@@ -176,7 +176,7 @@ def fraction_levels(weight, powers):
 
 def run_levels(weight, powers):
     acc = _Accumulator()
-    _levels(acc, weight, powers)
+    _levels(acc, Polynomial(weight), powers)
     return acc.freeze()
 
 
@@ -226,8 +226,8 @@ def test_levels_edge_cases():
     assert sum_power(F, 0) == ClosedForm({(): discrete_sum(F)})
     # the levels add into what the accumulator already holds
     acc = _Accumulator()
-    acc.add((1,), (1, 2))
-    _levels(acc, F.coeffs, ((1, 2),))
+    acc.add((1,), Polynomial((1, 2)))
+    _levels(acc, F, ((1, 2),))
     assert acc.freeze() == sum_power(F, 2) + ClosedForm({(1,): 1 + 2 * x})
 
 
