@@ -3,6 +3,14 @@
 Exit codes: 0 on success, 1 when a verification or cross-check fails, 2 for
 usage or parse errors.  Every emitter is deterministic: the same invocation
 produces byte-identical output.
+
+Around the algebra, a ``sum`` or ``check`` request parses its weight, checks
+its estimated cost and writes its result.  The weight parser builds literals
+and the variable as int rows, raises monomials to a power in one step
+(``Polynomial.__pow__``), adds the terms of a sum into one row that is
+reduced once, and sizes integer rows (``_bits``) without a gcd.  The cost
+estimate (``_walks_cost``) counts the completions of each prefix once per
+prefix sum.  JSON is written in one pass by ``closedform.term_json``.
 """
 
 from __future__ import annotations
@@ -15,9 +23,10 @@ import math
 import sys
 
 from .bernoulli import bernoulli
-from .closedform import term_json_obj
+from .closedform import term_json
 from .oracle import _pairs
-from .polynomial import _FORMATS, Polynomial, _lowest, _render
+from .polynomial import _FORMATS, Polynomial, _lowest, _muladd_over, _new, _reduced
+from .polynomial import _render
 from .reducer import reduce, reduce_direct
 from .sums import structure_check, sum_power, sum_power_shifted, sum_product
 from .verify import SUITES, form_mismatch, run_table, run_verify
@@ -157,23 +166,23 @@ class _Parser:
 
     def expr(self) -> Polynomial:
         kind, _, _ = self.peek()
-        negate = False
+        sign = 1
         if kind in ("+", "-"):
-            negate = kind == "-"
+            sign = 1 if kind == "+" else -1
             self.advance()
-        acc = self.term()
-        if negate:
-            acc = -acc
-        while True:
+        first = self.term()
+        kind, _, _ = self.peek()
+        if kind not in ("+", "-"):
+            return -first if sign < 0 else first
+        # the terms are added into one row over the lcm of their
+        # denominators, which is reduced once at the end
+        entry = [first._den, [sign * c for c in first._ints]]
+        while kind in ("+", "-"):
+            self.advance()
+            rhs = self.term()
+            _muladd_over(entry, rhs._ints, rhs._den, 1 if kind == "+" else -1)
             kind, _, _ = self.peek()
-            if kind == "+":
-                self.advance()
-                acc = acc + self.term()
-            elif kind == "-":
-                self.advance()
-                acc = acc - self.term()
-            else:
-                return acc
+        return _reduced(*entry)
 
     def term(self) -> Polynomial:
         acc = self.factor()
@@ -238,10 +247,10 @@ class _Parser:
         if kind == "num":
             c = int(value)
             _check_bits(c.bit_length(), off)
-            return Polynomial.constant(c)
+            return _new(1, (c,) if c else ())
         if kind == "name":
             if value in ("m", "n"):
-                return Polynomial.variable()
+                return _VARIABLE
             raise PolyParseError(f"unknown identifier {value!r}", off)
         if kind == "(":
             if self.depth == MAX_NESTING:
@@ -256,11 +265,17 @@ class _Parser:
         raise PolyParseError(f"unexpected token {value or kind!r}", off)
 
 
+_VARIABLE = Polynomial.variable()
+
+
 def _bits(poly: Polynomial) -> int:
     """Bit length of the largest numerator or denominator in ``poly``, each
     coefficient in lowest terms."""
-    sizes = [max(abs(c), d) for c, d in _lowest(poly._den, poly._ints)]
-    return max(sizes, default=0).bit_length()
+    ints = poly._ints
+    if poly._den == 1:  # every coefficient is an integer
+        return max(max(ints), -min(ints)).bit_length() if ints else 0
+    sizes = [max(abs(c), d) for c, d in _lowest(poly._den, ints)]
+    return max(sizes).bit_length()
 
 
 def _check_bits(bits: int, offset: int) -> None:
@@ -333,11 +348,17 @@ def _walks_cost(degree: int, weight: int, depth: int, least=1, unit=1) -> float:
         w = w // unit - parts * (least // unit - 1)
         return math.comb(w - 1, parts - 1) if w > 0 and parts > 0 else int(w == parts)
 
+    # ends[s][k]: the completions of a prefix that adds up to s, with k
+    # entries left, as an exact int; each prefix sum over r is taken once
+    top = min(weight, degree + depth)
+    ends = [
+        list(itertools.accumulate(count(weight - s, r) for r in range(depth + 1)))
+        for s in range(top + 1)
+    ]
     cost = 0.0
     for i in range(depth + 1):
         for s in range(i * least, min(weight, degree + i) + 1):
-            ends = sum(count(weight - s, r) for r in range(depth - i + 1))
-            cost += count(s, i) * ends * _step_cost(degree + i - s, i)
+            cost += count(s, i) * ends[s][depth - i] * _step_cost(degree + i - s, i)
     return cost
 
 
@@ -378,6 +399,10 @@ def _parse_factors(text: str) -> "list[tuple[int, int]]":
             raise ValueError(
                 f"--factors entry {part!r} must be ORDER or ORDER^MULT"
             ) from None
+        # sum_product refuses these too, but the cost estimate, which runs
+        # first, counts compositions of positive entries only
+        if factors[-1][0] < 1:
+            raise ValueError("factor orders must be positive integers")
     return factors
 
 
@@ -505,7 +530,7 @@ def _cmd_sum(args) -> int:
         orders = [order for order, _ in factors]
         weight = sum(order * mult for order, mult in factors)
         depth = sum(mult for _, mult in factors)
-        unit = math.gcd(*orders) or 1  # sum_product refuses an order below 1
+        unit = math.gcd(*orders)
         cost = _walks_cost(F.degree, weight, depth, min(orders), unit)
         _check_walk_cost(cost, "--poly and --factors")
         closed = sum_product(F, factors)
@@ -536,11 +561,9 @@ def _cmd_check(args) -> int:
     cost = _walks_cost(F.degree, args.power, args.power)
     _check_walk_cost(cost, "--poly and --power")
     report = structure_check(F, args.power)
-    payload = {
-        "passes": report.passes,
-        "offending_terms": [term_json_obj(c, p) for c, p in report.offending_terms],
-    }
-    print(json.dumps(payload))
+    terms = ", ".join([term_json(c, p) for c, p in report.offending_terms])
+    passes = "true" if report.passes else "false"
+    print(f'{{"passes": {passes}, "offending_terms": [{terms}]}}')
     return 0 if report.passes else 1
 
 

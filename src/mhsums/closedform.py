@@ -28,7 +28,12 @@ denominators at n, and the value is the int pair over L * D
 themselves (``_ratios``) with the direct sums by cross multiplication.
 
 Terms render and serialize in one canonical order (weight, then depth, then
-lexicographic entries), so every emitter is deterministic.
+lexicographic entries), so every emitter is deterministic.  JSON is written
+in one pass (``to_json``, and ``term_json`` per term, which ``check`` uses
+too): one ``[numerator, denominator]`` pair per coefficient, reduced by one
+gcd, or by none when the row's denominator is 1, with no tree of dicts and
+no encoder.  The text is exactly ``json.dumps`` of ``to_json_obj``.  Copies
+and pickles rebuild a form from its terms.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .polynomial import _FORMATS, Polynomial, _horner_sum, _muladd, _muladd_over
 from .polynomial import _lowest, _reduced, _render, _row, join_signed
 from .stuffle import composition_key
 
-__all__ = ["ClosedForm", "term_json_obj"]
+__all__ = ["ClosedForm", "term_json", "term_json_obj"]
 
 Coefficient = Union[Polynomial, Fraction, int]
 
@@ -121,6 +126,10 @@ class ClosedForm:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ClosedForm is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the terms, as Polynomial does
+        return ClosedForm, (self._terms,)
 
     # ---------------------------------------------------------------- access
 
@@ -223,7 +232,8 @@ class ClosedForm:
         return {"terms": [term_json_obj(comp, poly) for comp, poly in self.terms]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+        """The text of ``json.dumps(self.to_json_obj())``, in one pass."""
+        return '{"terms": [%s]}' % ", ".join([term_json(c, p) for c, p in self.terms])
 
     @classmethod
     def from_json(cls, text: str) -> "ClosedForm":
@@ -256,6 +266,22 @@ def term_json_obj(comp: "tuple[int, ...]", poly: Polynomial) -> dict:
     in lowest terms for the coefficients in ascending powers of n."""
     pairs = _lowest(poly._den, poly._ints)
     return {"composition": list(comp), "coeff": [list(pair) for pair in pairs]}
+
+
+def term_json(comp: "tuple[int, ...]", poly: Polynomial) -> str:
+    """The text of ``json.dumps(term_json_obj(comp, poly))``, written
+    directly: one gcd per coefficient, none when the denominator is 1."""
+    den, ints = poly._den, poly._ints
+    if den == 1:
+        coeff = ", ".join([f"[{c}, 1]" for c in ints])
+    else:
+        gcd = math.gcd
+        coeff = ", ".join([
+            f"[{c}, {den}]" if (g := gcd(c, den)) == 1 else f"[{c // g}, {den // g}]"
+            for c in ints
+        ])
+    comp_text = ", ".join(map(str, comp))
+    return f'{{"composition": [{comp_text}], "coeff": [{coeff}]}}'
 
 
 def _term(comp: "tuple[int, ...]", poly: Polynomial, fmt: str) -> "tuple[str, str]":

@@ -12,7 +12,10 @@ Arithmetic, ``shift``, ``derivative``, ``discrete_sum`` and the package's
 builders of polynomials run on the rows and end in ``_reduced``, which trims
 a row and divides out one gcd.  Rows are added and multiplied by one
 kernel, ``_muladd``, and evaluated by one, ``_horner_sum``, which gives an
-int pair; the public methods build one ``Fraction`` per value from it.  All
+int pair; the public methods build one ``Fraction`` per value from it.  A
+power of a monomial ``c x**j`` is written directly as ``c**k x**(j k)`` over
+``den**k``, already in lowest terms; other powers square.  Copies and
+pickles rebuild a polynomial from its row.  All
 text and LaTeX output, here, in closed forms and on the command line, is
 written from one format table, ``_FORMATS``, each coefficient reduced by one
 gcd (``_lowest``).
@@ -53,6 +56,11 @@ class Polynomial:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the row: the default restore of the
+        # slots would go through the __setattr__ above
+        return _reduced, (self._den, list(self._ints))
 
     # ---------------------------------------------------------------- basics
 
@@ -159,7 +167,17 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        out, square = Polynomial.constant(1), self
+        ints = self._ints
+        if not any(ints[:-1]):
+            # c x**j (or zero) to the n is c**n x**(j n) over den**n, already
+            # in lowest terms, as gcd(c, den) == 1; 0**0 is 1
+            if not n:
+                return _ONE_POLY
+            if not ints:
+                return self
+            j = len(ints) - 1
+            return _new(self._den**n, (0,) * (j * n) + (ints[j] ** n,))
+        out, square = _ONE_POLY, self
         while n:  # repeated squaring: a squaring per bit of n, a product per 1 bit
             if n & 1:
                 out = out * square
@@ -219,10 +237,18 @@ def _reduced(den: int, ints: "list[int]") -> Polynomial:
     if g != 1:
         den //= g
         ints = [c // g for c in ints]
+    return _new(den, tuple(ints))
+
+
+def _new(den: int, ints: "tuple[int, ...]") -> Polynomial:
+    """The polynomial of a canonical row, taken as it is."""
     out = object.__new__(Polynomial)
     object.__setattr__(out, "_den", den)
-    object.__setattr__(out, "_ints", tuple(ints))
+    object.__setattr__(out, "_ints", ints)
     return out
+
+
+_ONE_POLY = _new(1, (1,))
 
 
 def _sum(aden: int, a, bden: int, b, sign: int) -> Polynomial:

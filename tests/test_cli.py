@@ -1,6 +1,9 @@
 import hashlib
 import json
+import math
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -187,10 +190,90 @@ def test_constant_limit(no_digit_guard):
         assert info.value.offset == offset
 
 
+def test_constant_limit_counts_negative_coefficients(no_digit_guard):
+    # the integer rows' sizes are taken over |c|: 31,700 + 9,510 bits
+    for text in ("(m - (9^100)^100)*(9^100)^30", "(-(9^100)^100 + m)*(9^100)^30"):
+        with pytest.raises(PolyParseError) as info:
+            parse_poly(text)
+        assert "above the limit" in str(info.value)
+        assert info.value.offset == text.index("*") + 1
+    assert parse_poly("(m - (9^100)^100)*(9^100)^20").degree == 1
+
+
 @given(st.lists(frac9, max_size=5).map(Polynomial))
 def test_round_trip_through_text(p):
     assert parse_poly(p.text("m")) == p
     assert parse_poly(p.text("n")) == p
+
+
+def random_expr(rng, depth):
+    """(text, the same expression built from Polynomial operators, the same
+    expression as Python source over Fractions) for a random weight: signed
+    sums of products and quotients of literals, variables, bracketed
+    expressions and their powers, with a leading sign now and then."""
+    texts, polys, sources = [], [], []
+    for k in range(rng.randint(1, 3)):
+        sign = rng.choice(["", "", "-", "+"]) if k == 0 else rng.choice("+-")
+        text, poly, source = random_term(rng, depth)
+        texts.append(f"{sign} {text}" if k else sign + text)
+        polys.append(-poly if sign == "-" else poly)
+        sources.append(f"{sign or '+'}{source}")
+    return " ".join(texts), sum(polys[1:], polys[0]), "(" + "".join(sources) + ")"
+
+
+def random_term(rng, depth):
+    text, poly, source = random_factor(rng, depth)
+    for _ in range(rng.randint(0, 2)):
+        # division only by a nonzero constant, and not right after a power
+        # (``m^2/3`` reads as a division in the exponent)
+        if rng.random() < 0.3 and not re.search(r"\^\d+$", text):
+            c = rng.randint(1, 12)
+            text, poly, source = f"{text}/{c}", poly / c, f"{source}/Fraction({c})"
+        else:
+            t, p, s = random_factor(rng, depth)
+            text, poly, source = f"{text}*{t}", poly * p, f"{source}*{s}"
+    return text, poly, source
+
+
+def random_factor(rng, depth):
+    roll, top = rng.random(), 3  # the largest exponent
+    if depth and roll < 0.35:
+        text, poly, source = random_expr(rng, depth - 1)
+        text, top = f"({text})", 2  # which keeps the degree below MAX_DEGREE
+    elif roll < 0.55:  # a monomial in brackets: c*m^j or 1/c*m^j
+        c, j = rng.randint(1, 9), rng.randint(0, 3)
+        if rng.random() < 0.5:
+            text, poly = f"({c}*m^{j})", Polynomial.monomial(j, c)
+            source = f"(Fraction({c})*m**{j})"
+        else:
+            text, poly = f"(1/{c}*m^{j})", Polynomial.monomial(j, Fraction(1, c))
+            source = f"(Fraction(1, {c})*m**{j})"
+    elif roll < 0.8:
+        c = rng.randint(0, 20)
+        text, poly, source = str(c), Polynomial.constant(c), f"Fraction({c})"
+    else:
+        text = rng.choice("mn")
+        poly, source = Polynomial.variable(), "m"
+    if rng.random() < 0.4:
+        k = rng.randint(0, top)
+        text, poly, source = f"{text}^{k}", poly ** k, f"({source})**{k}"
+    return text, poly, source
+
+
+def test_parser_matches_polynomial_operators():
+    # the parser adds a sum's terms in one row and writes monomial powers
+    # directly; the result must be the polynomial the operators build, and
+    # must take the values of the expression read as Python over Fractions
+    rng = random.Random(20211)
+    points = [Fraction(v) for v in (-3, -1, 0, 2, 5)] + [Fraction(-7, 3)]
+    for _ in range(400):
+        text, want, source = random_expr(rng, 2)
+        got = parse_poly(text)
+        assert got == want, text
+        assert (got._den, got._ints) == (want._den, want._ints), text
+        for v in points:
+            value = eval(source, {"Fraction": Fraction, "m": v})
+            assert got.eval(v) == value, (text, v)
 
 
 # ------------------------------------------------------------ subcommands
@@ -377,6 +460,10 @@ def test_reduce_usage_errors(capsys):
             ["sum", "--poly", "m", "--factors", "1^1^2"],
             "--factors entry '1^1^2' must be ORDER or ORDER^MULT",
         ),
+        (
+            ["sum", "--poly", "m^3", "--factors=2^1,-1^3"],
+            "factor orders must be positive integers",
+        ),
     ],
 )
 def test_usage_errors_one_line(argv, message, capsys):
@@ -456,6 +543,8 @@ def test_sum_deep_nesting_exit_code(capsys):
         ["check", "--poly", "m^30", "--power", str(MAX_POWER)],
         ["sum", "--poly", "m^100", "--factors", "1^4,2^4"],
         ["sum", "--poly", "1", "--factors", "1^4,2^4,3^4"],
+        # the estimate summed over prefixes of negative weight for 16 s
+        ["sum", "--poly", "m^3", "--factors=-100000^6,100000^6"],
         ["verify", "--suite", "reduce", "--max-n", "2000"],
         ["verify", "--suite", "all", "--max-n", str(MAX_VERIFY_N + 1)],
         ["table", "--p-max", str(MAX_DEGREE + 1), "--weight-max", "1", "--n", "1"],
@@ -476,6 +565,46 @@ def test_input_limits_exit_fast(argv, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+
+
+def reference_walks_cost(degree, weight, depth, least=1, unit=1):
+    """``cli._walks_cost`` as first written: the completions of each prefix
+    summed afresh for every (i, s)."""
+
+    def count(w, parts):
+        if w % unit:
+            return 0
+        w = w // unit - parts * (least // unit - 1)
+        return math.comb(w - 1, parts - 1) if w > 0 and parts > 0 else int(w == parts)
+
+    cost = 0.0
+    for i in range(depth + 1):
+        for s in range(i * least, min(weight, degree + i) + 1):
+            ends = sum(count(weight - s, r) for r in range(depth - i + 1))
+            step = (degree + i - s + 1) ** 2.8 * (i + 1) ** 0.9 + 3_000
+            cost += count(s, i) * ends * step
+    return cost
+
+
+def test_walks_cost_is_the_reference_float():
+    # the same float, bit for bit, so that sum and check accept and refuse
+    # the inputs they did: every --power at every degree, and --factors
+    # lists, among them the refused ones of test_input_limits_exit_fast
+    for degree in range(-1, MAX_DEGREE + 1):
+        for t in range(MAX_POWER + 1):
+            assert cli._walks_cost(degree, t, t) == reference_walks_cost(degree, t, t)
+    shapes = ("1^11,2^2", "1^4,2^4", "1^4,2^4,3^4", "2^7,4^5", "2^1,3^1", "1000^12")
+    for shape in shapes:
+        factors = cli._parse_factors(shape)
+        orders = [order for order, _ in factors]
+        args = (
+            sum(order * mult for order, mult in factors),
+            sum(mult for _, mult in factors),
+            min(orders),
+            math.gcd(*orders),
+        )
+        for degree in range(MAX_DEGREE + 1):
+            assert cli._walks_cost(degree, *args) == reference_walks_cost(degree, *args)
 
 
 def test_largest_accepted_inputs(capsys, no_digit_guard):

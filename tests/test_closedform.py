@@ -1,12 +1,16 @@
+import copy
 import hashlib
 import itertools
 import json
+import pickle
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mhsums.cli import main
 from mhsums.closedform import ClosedForm, _Accumulator
 from mhsums.oracle import mhs_eval
 from mhsums.polynomial import Polynomial
@@ -241,6 +245,61 @@ def test_json_round_trip():
     again = ClosedForm.from_json(SAMPLE.to_json())
     assert again == SAMPLE
     assert again.render("json") == SAMPLE.render("json")
+
+
+def json_corpus():
+    """Closed forms whose JSON the one-pass writer must get right."""
+    return [
+        ClosedForm(),  # {"terms": []}
+        ClosedForm({(): Polynomial((Fraction(1, 2), 0, 3))}),  # a bare polynomial
+        ClosedForm({(1,): Polynomial((-1, -3)), (2, 1): Polynomial((0, -7))}),
+        ClosedForm({(3,): Polynomial((Fraction(-1, 6), Fraction(-5, 4)))}),
+        ClosedForm({(): x ** 3, (1, 1, 1): Polynomial((2**80, Fraction(-1, 3**40)))}),
+        SAMPLE,
+        reduce(1, (1,)),
+        reduce(4, (2, 1)),
+        sum_product(Polynomial((1, -2, 3)), [(1, 2), (2, 1)]),
+        sum_power_shifted(Polynomial((Fraction(1, 2), 0, -1)), 3),
+    ]
+
+
+def test_json_writer_matches_the_encoder():
+    for form in json_corpus():
+        text = form.to_json()
+        assert text == json.dumps(form.to_json_obj())
+        assert form.render("json") == text
+        assert ClosedForm.from_json(text) == form
+    assert ClosedForm().to_json() == '{"terms": []}'
+
+
+def test_json_writer_with_a_coefficient_above_the_digit_guard(capsys):
+    # 5,001 digits: main lifts the int-to-str guard for its call, so the
+    # command writes it; outside main, to_json raises as json.dumps does
+    digits = "1" + "0" * 5000
+    argv = ["sum", "--poly", digits, "--power", "0", "--format", "json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == '{"terms": [{"composition": [], "coeff": [[0, 1], [%s, 1]]}]}\n' % digits
+    form = ClosedForm({(): Polynomial((0, 10**5000))})
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return  # no guard in this interpreter
+    with pytest.raises(ValueError) as want:
+        json.dumps(form.to_json_obj())
+    with pytest.raises(ValueError) as got:
+        form.to_json()
+    assert str(got.value) == str(want.value)
+
+
+def test_copy_and_pickle():
+    # rebuilt from the terms, not through the slots' __setattr__
+    for form in json_corpus():
+        for again in (copy.copy(form), copy.deepcopy(form), pickle.loads(pickle.dumps(form))):
+            assert type(again) is ClosedForm
+            assert again == form and again.to_json() == form.to_json()
+            with pytest.raises(TypeError):  # unhashable, as the original
+                hash(again)
+            with pytest.raises(AttributeError):
+                again._terms = {}
 
 
 @pytest.mark.parametrize(

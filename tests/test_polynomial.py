@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -124,6 +126,27 @@ def test_pow_edge_cases():
     assert (x - 1) ** 2 == x * x - 2 * x + 1
 
 
+def test_pow_of_monomials_matches_repeated_multiplication():
+    # a row with one nonzero coefficient is raised in one step; 0**0 is 1
+    zero = Polynomial.zero()
+    monomials = [zero, Polynomial.constant(1), Polynomial.constant(-3), x]
+    monomials += [Polynomial.monomial(j, c) for j in (0, 1, 4, 7)
+                  for c in (2, -1, Fraction(-5, 12), Fraction(7, 3))]
+    for p in monomials:
+        for k in range(9):
+            want = Polynomial.constant(1)
+            for _ in range(k):
+                want = want * p
+            got = p ** k
+            assert got == want, (p, k)
+            assert (got._den, got._ints) == (want._den, want._ints)
+    assert zero ** 0 == Polynomial.constant(1)
+    assert Polynomial.monomial(5, Fraction(-2, 3)) ** 0 == Polynomial.constant(1)
+    assert (Polynomial.monomial(2, Fraction(-2, 3)) ** 3).coeffs == (
+        (Fraction(0),) * 6 + (Fraction(-8, 27),)
+    )
+
+
 def test_pow_negative_rejected():
     with pytest.raises(ValueError):
         x ** -1
@@ -238,6 +261,21 @@ def test_hash_agrees_with_equality():
     assert a == b and hash(a) == hash(b)
     c = x / 3 + Fraction(1, 6)
     assert hash(c) == hash(Polynomial((Fraction(1, 6), Fraction(1, 3))))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [Polynomial(), Polynomial((1, 2)), Polynomial((Fraction(-7, 6), 0, Fraction(3, 4))),
+     Polynomial.constant(2**200), x ** 30],
+)
+def test_copy_and_pickle(p):
+    # rebuilt from the row, not through the slots' __setattr__
+    for again in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(again) is Polynomial
+        assert again == p and hash(again) == hash(p)
+        assert (again._den, again._ints) == (p._den, p._ints)
+        with pytest.raises(AttributeError):
+            again._den = 2
 
 
 @given(polys, polys)
