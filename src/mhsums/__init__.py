@@ -47,7 +47,8 @@ _MEMOS = (
 
 def clear_caches() -> None:
     """Empty every memo and table: the six ``lru_cache`` memos of the
-    reducer and the stuffle, the direct evaluator's tables and the shared
+    reducer and the stuffle, the direct evaluator's tables (with the scaled
+    numerators that closed-form evaluation keeps in them) and the shared
     Bernoulli table.  Results stay the same; they are computed again when
     next needed."""
     for memo in _MEMOS:

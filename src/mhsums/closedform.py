@@ -18,14 +18,17 @@ and the reducer and sums modules all go through it; the ``ClosedForm`` they
 return stays immutable.
 
 Evaluation reads the polynomials' rows over D, the lcm of their
-denominators.  Each term's H values come from one table of the direct
-evaluator, fetched once per call as int numerators and denominators in
-lowest terms (``oracle._pairs``).  At each n, Horner's scheme runs on the
-ints, each product with H_n(comp) is brought to the lcm L of the H values'
-denominators at n, and the value is the int pair over L * D
-(``polynomial._horner_sum``).  ``values(max_n)`` and ``eval(n)`` build one
-``Fraction`` per value from those pairs; ``verify`` compares the pairs
-themselves (``_ratios``) with the direct sums by cross multiplication.
+denominators, and one known denominator per weight: with L = lcm(1..n),
+the denominator of H_n(comp) divides L**w for w = sum(comp).  The direct
+evaluator hands out each term's numerators over L**w (``oracle._scaled``,
+cached per table).  Over the column of n, Horner's scheme gives each
+coefficient's values as ints, their products with the numerators sum per
+weight into S_w, and the weights combine by Horner's scheme in L: the
+value is the int pair (sum_w S_w * L**(W - w), L**W * D), W the largest
+weight, with no gcd, lcm or division per term and n.  ``values(max_n)``
+and ``eval(n)`` build one ``Fraction`` per value from those pairs;
+``verify`` compares the pairs themselves (``_ratios``) with the direct
+sums by cross multiplication.
 
 Terms render and serialize in one canonical order (weight, then depth, then
 lexicographic entries), so every emitter is deterministic.  JSON is written
@@ -41,10 +44,12 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import accumulate, compress, repeat
+from operator import add, mul
 from typing import Iterable, Mapping, Union
 
-from .oracle import _pairs, is_proper
-from .polynomial import _FORMATS, Polynomial, _horner_sum, _muladd, _muladd_over
+from .oracle import _scaled, is_proper
+from .polynomial import _FORMATS, Polynomial, _muladd, _muladd_over
 from .polynomial import _lowest, _reduced, _render, _row, join_signed
 from .stuffle import composition_key
 
@@ -204,18 +209,33 @@ class ClosedForm:
 
     def _ratios(self, lo: int, hi: int) -> "list[tuple[int, int]]":
         """C(lo), ..., C(hi) as int pairs (numerator, denominator > 0), not
-        always in lowest terms, over one table fetch per term."""
+        always in lowest terms, over L**W * D at each n (see the module
+        docstring); a subrange gives the same pairs as the full range."""
         if not self._terms:
             return [(0, 1)] * (hi + 1 - lo)
+        if not isinstance(hi, int) or hi < 0:
+            raise ValueError("upper limit must be a nonnegative integer")
         polys = self._terms.values()
         den = math.lcm(*[poly._den for poly in polys])
-        rows = [[c * (den // poly._den) for c in poly._ints] for poly in polys]
-        tables = [_pairs(hi, comp) for comp in self._terms]
-        # one tuple per n of the terms' numerators, and one of their denominators
-        nums = zip(*[nums[lo : hi + 1] for nums, _ in tables])
-        dens = zip(*[dens[lo : hi + 1] for _, dens in tables])
         span = range(lo, hi + 1)
-        return [_horner_sum(rows, a, b, n, den) for n, a, b in zip(span, nums, dens)]
+        lcms = list(accumulate(span[1:], math.lcm, initial=_lcm_upto(lo)))
+        sums = {}  # weight -> the column of S_w over span
+        for comp, poly in self._terms.items():
+            scale, ints = den // poly._den, poly._ints
+            # the coefficient's values over the column, by Horner's scheme
+            col = [ints[-1] * scale] * len(span)
+            for c in reversed(ints[:-1]):
+                col = list(map(add, map(mul, col, span), repeat(c * scale)))
+            col = map(mul, col, _scaled(lo, hi, comp, lcms))
+            w = sum(comp)
+            sums[w] = list(map(add, sums[w], col)) if w in sums else list(col)
+        top, low = max(sums), min(sums)
+        acc = sums[low]
+        for w in range(low + 1, top + 1):
+            acc = list(map(mul, acc, lcms))
+            if w in sums:
+                acc = list(map(add, acc, sums[w]))
+        return [(a, lcm**top * den) for a, lcm in zip(acc, lcms)]
 
     # ------------------------------------------------------------- rendering
 
@@ -251,6 +271,24 @@ class ClosedForm:
             ArithmeticError, KeyError, RecursionError, TypeError, ValueError
         ) as exc:
             raise ValueError(f"malformed closed-form JSON: {exc}") from exc
+
+
+def _lcm_upto(n: int) -> int:
+    """lcm(1..n), as the product of the largest prime powers up to n: the
+    primes up to sqrt(n) by a sieve, each raised to its largest power up to
+    n, and the primes above sqrt(n) once each.  Folding lcm over 1..n would
+    take a gcd with the growing lcm at every step."""
+    root = math.isqrt(n)
+    sieve = bytearray([1]) * (n + 1)
+    out = 1
+    for p in range(2, root + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+            q = p
+            while q * p <= n:
+                q *= p
+            out *= q
+    return out * math.prod(compress(range(root + 1, n + 1), sieve[root + 1 :]))
 
 
 def _json_int(value: object) -> int:

@@ -19,10 +19,17 @@ This module shares no arithmetic with the reducer, the sums or
 ``polynomial``: it stays an independent judge of their closed forms.
 
 ``mhs_values`` and ``mhs_eval`` hand out ``Fraction``s.  The package's own
-readers (closed-form evaluation and ``verify``) take the int lists from
-``_pairs`` and build no ``Fraction`` per value.  The tables grow under a
-re-entrant lock, so they behave as if computed once even when shared
-between threads; an entry, once appended, never changes.
+readers take int lists and build no ``Fraction`` per value: ``verify`` and
+the ``eval`` command read ``_pairs``, and closed-form evaluation reads
+``_scaled``, a second view of a proper composition's table.  Its entries
+are the numerators over lcm(1..m)**w, w the composition's weight, which
+that power always clears; each is one exact division, made the first time
+it is asked for and then kept.  The view fills only the entries asked for,
+so a one-point evaluation at a large m leaves the others as holes (None),
+and the caller passes the lcms, so that no list of them outlives a call.
+The tables and their views grow under one re-entrant lock, so they behave
+as if computed once even when shared between threads; an entry, once
+stored, never changes.
 """
 
 from __future__ import annotations
@@ -45,12 +52,14 @@ Composition = "tuple[int, ...]"
 
 class _Table:
     """H_m(comp) = nums[m] / dens[m] in lowest terms, dens[m] > 0, for
-    m < len(table)."""
+    m < len(table).  For a proper composition of weight w, ``scaled[m]``,
+    once filled, is H_m(comp) * lcm(1..m)**w, an int; unfilled entries are
+    None."""
 
-    __slots__ = ("nums", "dens")
+    __slots__ = ("nums", "dens", "scaled")
 
     def __init__(self, first: int):
-        self.nums, self.dens = [first], [1]
+        self.nums, self.dens, self.scaled = [first], [1], []
 
     def __len__(self) -> int:
         return len(self.nums)
@@ -142,6 +151,27 @@ def _pairs(n: int, comp: "tuple[int, ...]") -> "tuple[list[int], list[int]]":
     not change them."""
     table = _values(_checked(n, comp), n)
     return table.nums, table.dens
+
+
+def _scaled(lo: int, hi: int, comp: "tuple[int, ...]", lcms) -> "list[int]":
+    """H_m(comp) * lcm(1..m)**w for m = lo..hi, as ints, for a proper
+    composition of weight w; ``lcms[m - lo]`` must be lcm(1..m).  The
+    denominator of H_m(comp) divides lcm(1..m)**w, so each entry is one
+    exact division, made once per table and m: only the entries asked for
+    are filled."""
+    with _lock:
+        table = _values(comp, hi)
+        scaled = table.scaled
+        if len(scaled) <= hi:
+            scaled.extend([None] * (hi + 1 - len(scaled)))
+        out = scaled[lo : hi + 1]
+        if None in out:
+            nums, dens, w = table.nums, table.dens, sum(comp)
+            for m in range(lo, hi + 1):
+                if scaled[m] is None:
+                    scaled[m] = nums[m] * (lcms[m - lo] ** w // dens[m])
+            out = scaled[lo : hi + 1]
+        return out
 
 
 def mhs_values(n: int, comp: "tuple[int, ...]") -> "list[Fraction]":

@@ -11,8 +11,8 @@ nothing in the package reads it where the time goes.
 Arithmetic, ``shift``, ``derivative``, ``discrete_sum`` and the package's
 builders of polynomials run on the rows and end in ``_reduced``, which trims
 a row and divides out one gcd.  Rows are added and multiplied by one
-kernel, ``_muladd``, and evaluated by one, ``_horner_sum``, which gives an
-int pair; the public methods build one ``Fraction`` per value from it.  A
+kernel, ``_muladd``, and evaluated at an integer by one, ``_horner``, on
+ints; the public methods build one ``Fraction`` per value.  A
 power of a monomial ``c x**j`` is written directly as ``c**k x**(j k)`` over
 ``den**k``, already in lowest terms; other powers square.  Copies and
 pickles rebuild a polynomial from its row.  All
@@ -189,11 +189,11 @@ class Polynomial:
     # ------------------------------------------------------------ operations
 
     def eval(self, x: Scalar) -> Fraction:
-        """Value at x = a/b by Horner's scheme on ints (``_horner_sum``):
+        """Value at x = a/b by Horner's scheme on ints (``_horner``):
         sum_i c_i a**i b**(d-i) over den * b**d, for the degree d."""
         (a, b), d = _ratio(x), max(self.degree, 0)
         row = [c * b ** (d - i) for i, c in enumerate(self._ints)]
-        return Fraction(*_horner_sum((row,), _ONE, _ONE, a, self._den * b**d))
+        return Fraction(_horner(row, a), self._den * b**d)
 
     def shift(self, c: Scalar) -> "Polynomial":
         """The composed polynomial x |-> P(x + c), by Horner's rule in x + c:
@@ -312,30 +312,13 @@ def join_signed(parts: "list[tuple[str, str]]", pad: str = " ") -> str:
     return head + "".join(f"{pad}{sign}{pad}{body}" for sign, body in rest)
 
 
-def _horner_sum(rows: "list[list[int]]", nums, dens, x: int, den: int):
-    """sum_i P_i(x) * nums[i] / dens[i] for an integer x, as an int pair
-    (numerator, denominator > 0), not always in lowest terms.
-
-    Row i holds the ascending integer coefficients of den * P_i, and weight i
-    is the int pair nums[i] / dens[i], dens[i] > 0.  Horner's scheme runs on
-    ints; each product is brought to the lcm L of the weights'
-    denominators, and the pair's denominator is L * den.
-    """
-    # lcm of a list: unpacking a generator builds an oversized tuple and
-    # shrinks it, which filled the tuple free lists and raised verify's peak
-    # memory by about 1 MB
-    lcm = math.lcm(*dens)
-    total = 0
-    for row, a, b in zip(rows, nums, dens):
-        if a:
-            acc = 0
-            for c in reversed(row):
-                acc = acc * x + c
-            total += acc * a * (lcm // b)
-    return total, lcm * den
-
-
-_ONE = (1,)
+def _horner(row, x: int) -> int:
+    """The value at an integer x of the polynomial with the ascending
+    integer coefficients ``row``, by Horner's scheme on ints."""
+    acc = 0
+    for c in reversed(row):
+        acc = acc * x + c
+    return acc
 
 
 def _muladd(row: list, a, b) -> list:
@@ -389,7 +372,7 @@ def discrete_sum(F: Polynomial) -> Polynomial:
         return F
     # den * F(0), ..., den * F(d) as ints; the j-th forward difference is
     # divided by (j + 1)!, so the sum is built over den * (d + 1)!
-    row = [_horner_sum((F._ints,), _ONE, _ONE, i, 1)[0] for i in range(d + 1)]
+    row = [_horner(F._ints, i) for i in range(d + 1)]
     top = math.factorial(d + 1)
     out = [-row[0] * top]
     falling = [1]  # (x + 1) x ... (x + 2 - j), integer coefficients

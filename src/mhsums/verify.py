@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .closedform import ClosedForm
 from .oracle import _pairs
-from .polynomial import Polynomial, _horner_sum
+from .polynomial import Polynomial, _horner
 from .reducer import reduce, reduce_direct
 from .stuffle import composition_key
 from .sums import (
@@ -103,13 +103,13 @@ def _direct_weighted_sum(F: Polynomial, factor_values, max_n: int, start: int):
     as a pair of int lists (nums, dens); ``factor_values(n)`` gives the
     product as an int pair (numerator, denominator > 0).  The sums run over
     the lcm of the terms' denominators."""
-    den, rows = F._den, (F._ints,)
+    den, row = F._den, F._ints
     nums, dens = [], []
     acc, lcm = 0, 1
     for n in range(0, max_n + 1):
         if n >= start:
             a, b = factor_values(n)
-            a, b = _horner_sum(rows, (a,), (b,), n, den)
+            a, b = _horner(row, n) * a, b * den
             g = math.gcd(lcm, b)
             acc = acc * (b // g) + a * (lcm // g)
             lcm *= b // g

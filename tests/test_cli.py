@@ -45,6 +45,9 @@ def test_parse_basic_forms():
     assert parse_poly("3*m^2+m") == 3 * x ** 2 + x
     assert parse_poly("1") == Polynomial.constant(1)
     assert parse_poly("(m-1)^2") == x ** 2 - 2 * x + 1
+    # decimal digits of other scripts are numbers, as int() reads them
+    assert parse_poly("\uff13*m") == 3 * x  # full-width 3
+    assert parse_poly("m^\u0663") == x ** 3  # Arabic-Indic 3
 
 
 def test_parse_whitespace_insensitive():
@@ -463,6 +466,15 @@ def test_reduce_usage_errors(capsys):
         (
             ["sum", "--poly", "m^3", "--factors=2^1,-1^3"],
             "factor orders must be positive integers",
+        ),
+        # digits that are not decimal (superscripts) are no number to int()
+        (
+            ["sum", "--poly", "m^\u00b2", "--power", "1"],
+            "unexpected character '\u00b2' (at offset 2)",
+        ),
+        (
+            ["check", "--poly", "2*m^1\u00b3", "--power", "1"],
+            "unexpected character '\u00b3' (at offset 5)",
         ),
     ],
 )

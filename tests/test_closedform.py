@@ -2,16 +2,19 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 import pickle
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mhsums
 from mhsums.cli import main
-from mhsums.closedform import ClosedForm, _Accumulator
+from mhsums.closedform import ClosedForm, _Accumulator, _lcm_upto
 from mhsums.oracle import mhs_eval
 from mhsums.polynomial import Polynomial
 from mhsums.reducer import reduce
@@ -101,6 +104,10 @@ def test_values_and_eval_match_fraction_reference(form, N):
 def test_values_edge_cases():
     assert ClosedForm().values(30) == [0] * 31
     assert ClosedForm().eval(7) == 0
+    for read in (SAMPLE.eval, SAMPLE.values):
+        for bad in (-1, 2.5, Fraction(3)):
+            with pytest.raises(ValueError, match="^upper limit must be a nonnegative"):
+                read(bad)
     assert SAMPLE.values(0) == [SAMPLE.eval(0)] == [0]
     deep = ClosedForm({(1, 1, 1): Fraction(-3, 4) * x + Fraction(1, 6), (): x})
     assert deep.values(5)[:3] == [0, 1, 2]
@@ -120,6 +127,96 @@ def test_ratios_are_the_values_as_int_pairs(form, N):
     assert all(type(v) is Fraction for v in values)
     assert form._ratios(N // 2, N) == ratios[N // 2 :]
     assert type(form.eval(N)) is Fraction and form.eval(N) == values[N]
+
+
+# a bare polynomial; weights 0, 3 and 5 only; weights 1, 2 and 4, with a
+# depth past n for small n
+FILL_FORMS = (
+    ClosedForm({(): x ** 3 / 7 - 2}),
+    ClosedForm(
+        {
+            (): Fraction(1, 3),
+            (3,): x - 1,
+            (2, 1): -x * x,
+            (1, 3, 1): Fraction(5, 6),
+            (5,): 2 * x,
+        }
+    ),
+    ClosedForm({(1,): x / 2, (2,): -x, (1, 1): Fraction(3, 4), (1, 1, 1, 1): x * x}),
+)
+FILL_N = 60
+SCATTERED = (37, 3, 60, 0, 11, 59, 1, 24)
+
+
+def fill_reads(form):
+    """Each way of reading a form's values, as (name, read): scattered
+    points, a subrange with lo > 0, and everything up to FILL_N."""
+    return {
+        "points": lambda: [(n, form.eval(n)) for n in SCATTERED],
+        "subrange": lambda: [
+            (n, Fraction(*r)) for n, r in zip(range(17, 46), form._ratios(17, 45))
+        ],
+        "values": lambda: list(enumerate(form.values(FILL_N))),
+    }
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        ("points", "values", "subrange"),
+        ("values", "points", "subrange"),
+        ("subrange", "points", "values"),
+    ],
+)
+def test_scaled_tables_in_any_fill_order(order):
+    want = [[reference_value(f, n) for n in range(FILL_N + 1)] for f in FILL_FORMS]
+    mhsums.clear_caches()
+    for form, values in zip(FILL_FORMS, want):
+        reads = fill_reads(form)
+        for name in order:
+            assert all(value == values[n] for n, value in reads[name]()), name
+
+
+def test_threads_fill_the_same_scaled_tables():
+    want = [[reference_value(f, n) for n in range(FILL_N + 1)] for f in FILL_FORMS]
+    mhsums.clear_caches()
+    bad = []
+    orders = (
+        ("points", "subrange", "values"),
+        ("values", "subrange", "points"),
+        ("subrange", "values", "points"),
+    )
+    barrier = threading.Barrier(len(orders))
+
+    def run(order):
+        barrier.wait()
+        try:
+            for _ in range(3):
+                for form, values in zip(FILL_FORMS, want):
+                    reads = fill_reads(form)
+                    for name in order:
+                        if any(value != values[n] for n, value in reads[name]()):
+                            bad.append((order, name))
+        except Exception as exc:  # a thread's error must fail the test
+            bad.append((order, repr(exc)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-fill
+    try:
+        threads = [threading.Thread(target=run, args=(order,)) for order in orders]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert bad == []
+
+
+def test_lcm_upto_is_the_running_lcm():
+    running = list(itertools.accumulate(range(1, 400), math.lcm, initial=1))
+    assert [_lcm_upto(n) for n in range(400)] == running
 
 
 def test_arithmetic():

@@ -2,7 +2,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -240,3 +240,23 @@ def test_two_threads_extend_and_read_one_table():
     assert bad == []
     assert mhs_values(top, comp) == want
     assert_tables_reduced(comp, top)
+
+
+def test_scaled_numerators_after_verify():
+    # every entry closed-form evaluation filled is H_m(comp) * lcm(1..m)**w
+    mhsums.clear_caches()
+    assert mhsums.run_verify("all", 80, echo=lambda line: None) == 0
+    filled = 0
+    for comp, table in _cache.items():
+        if not is_proper(comp):
+            assert table.scaled == []
+            continue
+        w = sum(comp)
+        assert len(table.scaled) <= len(table)
+        for m, scaled in enumerate(table.scaled):
+            if scaled is not None:
+                filled += 1
+                power = lcm(*range(1, m + 1)) ** w
+                assert type(scaled) is int
+                assert scaled * table.dens[m] == table.nums[m] * power
+    assert filled > 1000
