@@ -6,8 +6,9 @@ The package reduces sums of the shape
 
 to polynomial-coefficient combinations of multiple harmonic sums at n, and
 builds on that to evaluate sums like sum F(m) * H_{m-1}^t for polynomial
-weights F.  All arithmetic is exact (``fractions.Fraction``).  Results are
-memoized for the life of the process; ``clear_caches`` frees them.
+weights F.  All arithmetic is exact: ints over known denominators inside,
+``fractions.Fraction`` at the public boundary.  Results are memoized for the
+life of the process; ``clear_caches`` frees them.
 """
 
 from . import bernoulli as _bernoulli
@@ -47,10 +48,9 @@ _MEMOS = (
 
 def clear_caches() -> None:
     """Empty every memo and table: the six ``lru_cache`` memos of the
-    reducer and the stuffle, the direct evaluator's tables (with the scaled
-    numerators that closed-form evaluation keeps in them) and the shared
-    Bernoulli table.  Results stay the same; they are computed again when
-    next needed."""
+    reducer and the stuffle, the direct evaluator's tables (which
+    closed-form evaluation reads too) and the shared Bernoulli table.
+    Results stay the same; they are computed again when next needed."""
     for memo in _MEMOS:
         memo.cache_clear()
     with _oracle._lock:

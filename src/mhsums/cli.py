@@ -24,7 +24,7 @@ import sys
 
 from .bernoulli import bernoulli
 from .closedform import term_json
-from .oracle import _pairs
+from .oracle import _pair
 from .polynomial import _FORMATS, Polynomial, _lowest, _muladd_over, _new, _reduced
 from .polynomial import _render
 from .reducer import reduce, reduce_direct
@@ -92,28 +92,29 @@ MAX_POWER = 12  # --power, and the summed multiplicities of --factors
 # A constant's cost grows with its size; (9^100)^100 has 31,700 bits.
 MAX_CONSTANT_BITS = 40_000  # numerator or denominator of a literal, power or product
 # Nothing recurses per --comp entry, but the output and the oracle's suffix
-# tables grow with depth**2: with 1,000 ones reduce -p 0 prints 1 MB, and on
-# tables of Fractions eval --n 1000 took 1.6 s and 51 MB; with 2,000, 4 MB,
-# 6.4 s and 161 MB.  The oracle's int pairs skip its zero terms, and on
-# another 2-vCPU VM mhs_eval at n = 1,000 and 2,000 with as many ones went
-# from 3.9 s and 46 MB to 0.07 s and 28 MB, and from 16 s and 141 MB to 0.3 s
-# and 70 MB.  The bound is kept unchanged; the output still grows as before.
+# tables grow with depth: with 1,000 ones reduce -p 0 prints 1 MB.  The
+# oracle keeps H_m(suffix) * lcm(1..m)**w for a suffix of weight w, about
+# 1.44 * m * w bits per value even where the value in lowest terms is far
+# smaller, so deep compositions of ones cost more than their values: on a
+# 2-vCPU VM mhs_eval at n = 1,000 with as many ones takes 1.8 s and 90 MB,
+# and the costliest accepted eval of this shape, --n 180 with 100 ones,
+# 0.13 s and 25 MB.  The bound is kept unchanged.
 MAX_DEPTH = 100  # entries of --comp
 # The direct evaluator builds a table of n exact values per suffix of the
 # composition, and the Bernoulli table costs m exact terms for its m-th entry.
 MAX_EVAL_N = 20_000  # eval --n
 MAX_BERNOULLI = 1_000  # bernoulli --max
-# The values of the table for a suffix of weight w grow to O(n * w) bits.
-# The table of the last entry adds a short term per step, so it costs about
-# n**2 * w; every other table adds two full-size values, whose gcds make a
-# step quadratic in the bits, about n**3 * w**2 per table.  Fitted to eval
-# timings on tables of Fractions, the estimate n**2 * w_last + n**3 *
-# sum(w**2) / 5000 at this limit took at most about 4 s on a 2-vCPU VM.  The
-# tables now hold int pairs (see ``oracle``): they take the same gcds of
-# full-size denominators without building an object per step, so the
-# costliest accepted inputs take as long as before or less, and the estimate
-# is an upper one, kept unchanged so that eval accepts and refuses the same
-# inputs as before.
+# The values of the table for a suffix of weight w grow to the bits of
+# lcm(1..n)**w, about 1.44 * n * w.  A step multiplies the tail's value by a
+# short factor and adds it, and at a prime power multiplies both by a small
+# power: each is linear in the bits, with no gcd, so a table costs about
+# n**2 * w.  The estimate n**2 * w_last + n**3 * sum(w**2) / 5000 was fitted
+# when every table but the last took gcds of full-size values, quadratic in
+# the bits; on tables of Fractions it took at most about 4 s at this limit on
+# a 2-vCPU VM.  On the gcd-free tables (see ``oracle``) the costliest
+# accepted inputs take 0.1 to 1.3 s there, eval --n 2000 --comp 100 the
+# longest.  The estimate is an upper one, kept unchanged so that eval accepts
+# and refuses the same inputs as before.
 MAX_EVAL_COST = 400_000_000  # eval, see _eval_cost
 # reduce walks its composition by summation by parts (see ``reducer``): step
 # i, at a weight of degree d, sums about d**2 products of numbers that grow
@@ -134,12 +135,12 @@ MAX_TABLE_N = 10_000  # table --n; table --p-max is bounded by MAX_DEGREE
 # costs its walk plus 3000 + 400 * (p + 1)**1.5 * (w + 1) for the rest of
 # reduce and the evaluation, and an oracle table costs 1200 per value plus
 # MAX_EVAL_COST's estimate of its bits.  The costliest accepted tables found
-# take 2.6 to 5.8 s on a 2-vCPU VM.  The term for the evaluation was fitted
-# when ClosedForm.eval ran Horner's scheme on Fraction values, and the
-# oracle's terms when its tables held Fractions; both now run on ints (the
-# evaluation over one denominator, the tables as int pairs), so the terms
-# are upper estimates.  They are kept unchanged, so that table accepts and
-# refuses the same inputs as before.
+# took 2.6 to 5.8 s on a 2-vCPU VM when these terms were fitted, with
+# ClosedForm.eval running Horner's scheme on Fraction values and the oracle
+# holding Fractions.  Both now run on ints over known denominators, with no
+# gcd per step (see ``oracle`` and ``closedform``): CI's three table inputs
+# take 0.2 to 0.5 s there, so the terms are upper estimates.  They are kept
+# unchanged, so that table accepts and refuses the same inputs as before.
 MAX_TABLE_COST = 400_000_000  # table, see _table_cost
 
 
@@ -543,9 +544,7 @@ def _cmd_eval(args) -> int:
     comp = _parse_comp(args.comp)
     if _eval_cost(args.n, comp) > MAX_EVAL_COST:
         raise ValueError(f"--n and --comp have an estimated cost above {MAX_EVAL_COST}")
-    # the table's own pair, in lowest terms: a Fraction would redo its gcd
-    nums, dens = _pairs(args.n, comp)
-    num, den = nums[args.n], dens[args.n]
+    num, den = _pair(args.n, comp)  # in lowest terms, without a Fraction
     if args.format == "json":
         print(json.dumps({"value": [num, den]}))
     elif den == 1:  # a constant polynomial, never negative
@@ -583,8 +582,9 @@ def _cmd_table(args) -> int:
     if _table_cost(args.p_max, args.weight_max, args.n) > MAX_TABLE_COST:
         flags = "--p-max, --weight-max and --n"
         raise ValueError(f"{flags} have an estimated cost above {MAX_TABLE_COST}")
-    print(run_table(args.p_max, args.weight_max, args.n), end="")
-    return 0
+    table = run_table(args.p_max, args.weight_max, args.n)
+    print(table, end="")
+    return 1 if ",false\n" in table else 0  # the match column is the last
 
 
 def _cmd_verify(args) -> int:

@@ -20,15 +20,16 @@ return stays immutable.
 Evaluation reads the polynomials' rows over D, the lcm of their
 denominators, and one known denominator per weight: with L = lcm(1..n),
 the denominator of H_n(comp) divides L**w for w = sum(comp).  The direct
-evaluator hands out each term's numerators over L**w (``oracle._scaled``,
-cached per table).  Over the column of n, Horner's scheme gives each
-coefficient's values as ints, their products with the numerators sum per
-weight into S_w, and the weights combine by Horner's scheme in L: the
-value is the int pair (sum_w S_w * L**(W - w), L**W * D), W the largest
-weight, with no gcd, lcm or division per term and n.  ``values(max_n)``
-and ``eval(n)`` build one ``Fraction`` per value from those pairs;
-``verify`` compares the pairs themselves (``_ratios``) with the direct
-sums by cross multiplication.
+evaluator keeps each table's values as numerators over L**w and hands out
+a slice of them (``oracle._scaled``); ``_ratios`` takes lcm(1..lo) from
+the oracle's sieve (``oracle._lcm_upto``) and each next L by one lcm.
+Over the column of n, Horner's scheme gives each coefficient's values as
+ints, their products with the numerators sum per weight into S_w, and the
+weights combine by Horner's scheme in L: the value is the int pair
+(sum_w S_w * L**(W - w), L**W * D), W the largest weight, with no gcd, lcm
+or division per term and n.  ``values(max_n)`` and ``eval(n)`` build one
+``Fraction`` per value from those pairs; ``verify`` compares the pairs
+themselves (``_ratios``) with the direct sums by cross multiplication.
 
 Terms render and serialize in one canonical order (weight, then depth, then
 lexicographic entries), so every emitter is deterministic.  JSON is written
@@ -44,11 +45,11 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, repeat
 from operator import add, mul
 from typing import Iterable, Mapping, Union
 
-from .oracle import _scaled, is_proper
+from .oracle import _lcm_upto, _scaled, is_proper
 from .polynomial import _FORMATS, Polynomial, _muladd, _muladd_over
 from .polynomial import _lowest, _reduced, _render, _row, join_signed
 from .stuffle import composition_key
@@ -211,10 +212,10 @@ class ClosedForm:
         """C(lo), ..., C(hi) as int pairs (numerator, denominator > 0), not
         always in lowest terms, over L**W * D at each n (see the module
         docstring); a subrange gives the same pairs as the full range."""
-        if not self._terms:
-            return [(0, 1)] * (hi + 1 - lo)
         if not isinstance(hi, int) or hi < 0:
             raise ValueError("upper limit must be a nonnegative integer")
+        if not self._terms:
+            return [(0, 1)] * (hi + 1 - lo)
         polys = self._terms.values()
         den = math.lcm(*[poly._den for poly in polys])
         span = range(lo, hi + 1)
@@ -226,7 +227,7 @@ class ClosedForm:
             col = [ints[-1] * scale] * len(span)
             for c in reversed(ints[:-1]):
                 col = list(map(add, map(mul, col, span), repeat(c * scale)))
-            col = map(mul, col, _scaled(lo, hi, comp, lcms))
+            col = map(mul, col, _scaled(lo, hi, comp))
             w = sum(comp)
             sums[w] = list(map(add, sums[w], col)) if w in sums else list(col)
         top, low = max(sums), min(sums)
@@ -271,24 +272,6 @@ class ClosedForm:
             ArithmeticError, KeyError, RecursionError, TypeError, ValueError
         ) as exc:
             raise ValueError(f"malformed closed-form JSON: {exc}") from exc
-
-
-def _lcm_upto(n: int) -> int:
-    """lcm(1..n), as the product of the largest prime powers up to n: the
-    primes up to sqrt(n) by a sieve, each raised to its largest power up to
-    n, and the primes above sqrt(n) once each.  Folding lcm over 1..n would
-    take a gcd with the growing lcm at every step."""
-    root = math.isqrt(n)
-    sieve = bytearray([1]) * (n + 1)
-    out = 1
-    for p in range(2, root + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-            q = p
-            while q * p <= n:
-                q *= p
-            out *= q
-    return out * math.prod(compress(range(root + 1, n + 1), sieve[root + 1 :]))
 
 
 def _json_int(value: object) -> int:

@@ -9,34 +9,37 @@ sum_{m=1..n} m**|k_1| * H_{m-1}(k_2, ..., k_r).
 Evaluation runs bottom-up over suffixes, the shortest first and without
 recursion: the table of H_m(suffix) for m = 0..n is built once per
 composition and cached, so a single evaluation costs O(n * depth) exact
-rational operations instead of a depth-deep nested loop, and repeated
-evaluations are lookups.  A table is two append-only lists of ints, the
-numerators and the positive denominators of its values in lowest terms.
-Each step reduces the new term m**-k * H_{m-1}(tail) (or m**|k| * ...) by
-one gcd against the small power m**|k|, and adds it with Henrici's gcd
-trick (Knuth, TAOCP vol. 2, section 4.5.1), so no object is built per step.
-This module shares no arithmetic with the reducer, the sums or
-``polynomial``: it stays an independent judge of their closed forms.
+operations instead of a depth-deep nested loop, and repeated evaluations
+are lookups.  A table is one append-only list of ints, the values times
+L(m)**w, where L(m) = lcm(1..m) and w is the sum of the composition's
+positive entries: that power clears every denominator of H_m.  With
+r = m / gcd(L(m-1), m), which is 1 except at a power of the prime r, a
+step is
 
-``mhs_values`` and ``mhs_eval`` hand out ``Fraction``s.  The package's own
-readers take int lists and build no ``Fraction`` per value: ``verify`` and
-the ``eval`` command read ``_pairs``, and closed-form evaluation reads
-``_scaled``, a second view of a proper composition's table.  Its entries
-are the numerators over lcm(1..m)**w, w the composition's weight, which
-that power always clears; each is one exact division, made the first time
-it is asked for and then kept.  The view fills only the entries asked for,
-so a one-point evaluation at a large m leaves the others as holes (None),
-and the caller passes the lcms, so that no list of them outlives a call.
-The tables and their views grow under one re-entrant lock, so they behave
-as if computed once even when shared between threads; an entry, once
-stored, never changes.
+    N_m = (N_{m-1} * r**k + T_{m-1} * L(m)**k / m**k) * r**w_tail  (k > 0)
+    N_m = (N_{m-1} + T_{m-1} * m**|k|) * r**w_tail                 (k <= 0)
+
+for the first entry k and the tail's table T, with no gcd and no division
+but the exact one by the small m**k.  Each table keeps its running L, and
+L(m)**k changes only at prime powers.  This module shares no arithmetic
+with the reducer, the sums or ``polynomial``: it stays an independent
+judge of their closed forms.
+
+Readers take lowest terms only at the boundary.  ``mhs_eval``, the
+``eval`` command and ``table`` read one point (``_pair``), reduced by one
+gcd against L(n)**w; ``mhs_values`` and ``verify`` read the numerators
+over L(m)**w (``_pairs``); closed-form evaluation reads the numerators
+themselves (``_scaled``).  The tables grow under one re-entrant lock, so
+they behave as if computed once even when shared between threads; an
+entry, once stored, never changes.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import gcd
+from itertools import compress
+from math import gcd, isqrt, prod
 
 __all__ = [
     "Composition",
@@ -51,15 +54,16 @@ Composition = "tuple[int, ...]"
 
 
 class _Table:
-    """H_m(comp) = nums[m] / dens[m] in lowest terms, dens[m] > 0, for
-    m < len(table).  For a proper composition of weight w, ``scaled[m]``,
-    once filled, is H_m(comp) * lcm(1..m)**w, an int; unfilled entries are
-    None."""
+    """H_m(comp) * lcm(1..m)**weight = nums[m], an int, for m < len(table),
+    where weight is the sum of comp's positive entries.  For a nonempty comp,
+    lcm is lcm(1..m) at the last m stored."""
 
-    __slots__ = ("nums", "dens", "scaled")
+    __slots__ = ("nums", "weight", "lcm")
 
-    def __init__(self, first: int):
-        self.nums, self.dens, self.scaled = [first], [1], []
+    def __init__(self, comp: "tuple[int, ...]"):
+        self.nums = [0 if comp else 1]
+        self.weight = sum(k for k in comp if k > 0)
+        self.lcm = 1
 
     def __len__(self) -> int:
         return len(self.nums)
@@ -96,43 +100,33 @@ def _values(comp: "tuple[int, ...]", n: int) -> _Table:
             tail, suffix = table, comp[i:]
             table = _cache.get(suffix)
             if table is None:
-                table = _cache[suffix] = _Table(0 if suffix else 1)
-            nums, dens, top = table.nums, table.dens, n - i + 1
+                table = _cache[suffix] = _Table(suffix)
+            nums, top = table.nums, n - i + 1
             if len(nums) >= top:
                 continue
             if not suffix:
                 nums.extend([1] * (top - len(nums)))
-                dens.extend([1] * (top - len(dens)))
                 continue
-            k, tnums, tdens = suffix[0], tail.nums, tail.dens
-            a, b = nums[-1], dens[-1]
+            k, w, tw, tnums = suffix[0], table.weight, tail.weight, tail.nums
+            lcm, a = table.lcm, nums[-1]
+            power = lcm**k if k > 0 else 1
             for m in range(len(nums), top):
+                # a = H_{m-1}(suffix) * lcm(1..m-1)**w; r = 1 but at prime powers
+                r = m // gcd(lcm, m)
+                if r > 1:
+                    lcm *= r
+                    if k > 0:
+                        power *= r**k
+                # c = m**-k * H_{m-1}(tail) * lcm(1..m)**(w - tw) * lcm(1..m-1)**tw
                 c = tnums[m - 1]
                 if c:
-                    # the term c / d = m**-k * H_{m-1}(tail), in lowest terms
-                    d = tdens[m - 1]
-                    if k > 0:
-                        power = m**k
-                        g = gcd(c, power)
-                        c, d = c // g, d * (power // g)
-                    elif k < 0:
-                        power = m**-k
-                        g = gcd(d, power)
-                        c, d = c * (power // g), d // g
-                    # a / b + c / d, reduced by the gcds of the denominators
-                    g = gcd(b, d)
-                    if g == 1:
-                        a, b = a * d + b * c, b * d
-                    else:
-                        s = b // g
-                        a = a * (d // g) + c * s
-                        g = gcd(a, g)
-                        if g == 1:
-                            b = s * d
-                        else:
-                            a, b = a // g, s * (d // g)
+                    c *= power // m**k if k > 0 else m**-k
+                if r > 1 and (a or c):  # deep tables start with zeros
+                    a = (a * r ** (w - tw) + c) * r**tw
+                else:
+                    a += c
                 nums.append(a)
-                dens.append(b)
+            table.lcm = lcm
         return table
 
 
@@ -145,33 +139,50 @@ def _checked(n: int, comp: "tuple[int, ...]") -> "tuple[int, ...]":
     return comp
 
 
-def _pairs(n: int, comp: "tuple[int, ...]") -> "tuple[list[int], list[int]]":
-    """The numerators and denominators of H_0(comp), ..., H_n(comp) in lowest
-    terms, as the table's own lists: they may run past n, and readers must
-    not change them."""
+def _pair(n: int, comp: "tuple[int, ...]") -> "tuple[int, int]":
+    """H_n(comp) as (numerator, denominator > 0) in lowest terms."""
     table = _values(_checked(n, comp), n)
-    return table.nums, table.dens
+    num, den = table.nums[n], _lcm_upto(n) ** table.weight
+    g = gcd(num, den)
+    return num // g, den // g
 
 
-def _scaled(lo: int, hi: int, comp: "tuple[int, ...]", lcms) -> "list[int]":
+def _pairs(n: int, comp: "tuple[int, ...]") -> "tuple[list[int], list[int]]":
+    """H_m(comp) = nums[m] / dens[m] for m = 0..n, with dens[m] =
+    lcm(1..m)**w, not in lowest terms.  nums is the table's own list: it may
+    run past n, and readers must not change it."""
+    table = _values(_checked(n, comp), n)
+    w, lcm, den, dens = table.weight, 1, 1, [1]
+    for m in range(1, n + 1):
+        r = m // gcd(lcm, m)
+        if r > 1:
+            lcm, den = lcm * r, den * r**w
+        dens.append(den)
+    return table.nums, dens
+
+
+def _scaled(lo: int, hi: int, comp: "tuple[int, ...]") -> "list[int]":
     """H_m(comp) * lcm(1..m)**w for m = lo..hi, as ints, for a proper
-    composition of weight w; ``lcms[m - lo]`` must be lcm(1..m).  The
-    denominator of H_m(comp) divides lcm(1..m)**w, so each entry is one
-    exact division, made once per table and m: only the entries asked for
-    are filled."""
-    with _lock:
-        table = _values(comp, hi)
-        scaled = table.scaled
-        if len(scaled) <= hi:
-            scaled.extend([None] * (hi + 1 - len(scaled)))
-        out = scaled[lo : hi + 1]
-        if None in out:
-            nums, dens, w = table.nums, table.dens, sum(comp)
-            for m in range(lo, hi + 1):
-                if scaled[m] is None:
-                    scaled[m] = nums[m] * (lcms[m - lo] ** w // dens[m])
-            out = scaled[lo : hi + 1]
-        return out
+    composition of weight w: a slice of its table."""
+    return _values(comp, hi).nums[lo : hi + 1]
+
+
+def _lcm_upto(n: int) -> int:
+    """lcm(1..n), as the product of the largest prime powers up to n: the
+    primes up to sqrt(n) by a sieve, each raised to its largest power up to
+    n, and the primes above sqrt(n) once each.  Folding lcm over 1..n would
+    take a gcd with the growing lcm at every step."""
+    root = isqrt(n)
+    sieve = bytearray([1]) * (n + 1)
+    out = 1
+    for p in range(2, root + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+            q = p
+            while q * p <= n:
+                q *= p
+            out *= q
+    return out * prod(compress(range(root + 1, n + 1), sieve[root + 1 :]))
 
 
 def mhs_values(n: int, comp: "tuple[int, ...]") -> "list[Fraction]":
@@ -182,8 +193,7 @@ def mhs_values(n: int, comp: "tuple[int, ...]") -> "list[Fraction]":
 
 def mhs_eval(n: int, comp: "tuple[int, ...]") -> Fraction:
     """H_n(comp) as an exact rational."""
-    nums, dens = _pairs(n, comp)
-    return Fraction(nums[n], dens[n])
+    return Fraction(*_pair(n, comp))
 
 
 def harmonic(n: int, order: int = 1) -> Fraction:

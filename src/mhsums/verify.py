@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from .closedform import ClosedForm
-from .oracle import _pairs
+from .oracle import _pair, _pairs
 from .polynomial import Polynomial, _horner
 from .reducer import reduce, reduce_direct
 from .stuffle import composition_key
@@ -276,8 +276,7 @@ def run_table(p_max: int, weight_max: int, n: int) -> str:
     lines = ["p,composition,n,oracle_num,oracle_den,closed_num,closed_den,match"]
     for p in range(p_max + 1):
         for comp in compositions_up_to(weight_max):
-            nums, dens = _pairs(n, (-p,) + comp)
-            oracle = (nums[n], dens[n])  # in lowest terms, as a Fraction's
+            oracle = _pair(n, (-p,) + comp)  # in lowest terms, as a Fraction's
             closed = reduce(p, comp).eval(n).as_integer_ratio()
             match = "true" if oracle == closed else "false"
             lines.append(

@@ -362,6 +362,20 @@ def test_oracle_mismatches_name_the_first_n(monkeypatch):
         assert checks[label]() == (False, f"n=1: closed {want + 1} != direct {want}")
 
 
+def test_table_exits_1_on_a_false_row(monkeypatch, capsys):
+    # each closed form gains n, so both rows at n = 3 are false
+    route = verify.reduce
+    monkeypatch.setattr(verify, "reduce", lambda *a: route(*a) + ClosedForm({(): x}))
+    argv = ["table", "--p-max", "0", "--weight-max", "1", "--n", "3"]
+    assert run_cli(argv, capsys) == (
+        1,
+        "p,composition,n,oracle_num,oracle_den,closed_num,closed_den,match\n"
+        "0,,3,3,1,6,1,false\n"
+        "0,1,3,5,2,11,2,false\n",
+        "",
+    )
+
+
 def perturb_routes(monkeypatch, extra):
     for name in ("reduce", "sum_power", "sum_power_shifted", "sum_product"):
         route = getattr(verify, name)
@@ -665,6 +679,8 @@ def test_eval_formats(capsys):
         ["eval", "--n", "4", "--comp", "2", "--format", "latex"], capsys
     )
     assert out.strip() == r"\frac{205}{144}"
+    # lowest terms, not the table's numerator over lcm(1..6) = 60
+    assert run_cli(["eval", "--n", "6", "--comp", "1"], capsys)[1] == "49/20\n"
     for fmt, want in (("text", "0"), ("latex", "0"), ("json", '{"value": [0, 1]}')):
         argv = ["eval", "--n", "0", "--comp", "2", "--format", fmt]
         assert run_cli(argv, capsys) == (0, want + "\n", "")

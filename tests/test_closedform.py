@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import mhsums
 from mhsums.cli import main
-from mhsums.closedform import ClosedForm, _Accumulator, _lcm_upto
-from mhsums.oracle import mhs_eval
+from mhsums.closedform import ClosedForm, _Accumulator
+from mhsums.oracle import _lcm_upto, mhs_eval
 from mhsums.polynomial import Polynomial
 from mhsums.reducer import reduce
 from mhsums.sums import sum_power, sum_power_shifted, sum_product
@@ -104,7 +104,7 @@ def test_values_and_eval_match_fraction_reference(form, N):
 def test_values_edge_cases():
     assert ClosedForm().values(30) == [0] * 31
     assert ClosedForm().eval(7) == 0
-    for read in (SAMPLE.eval, SAMPLE.values):
+    for read in (SAMPLE.eval, SAMPLE.values, ClosedForm().eval, ClosedForm().values):
         for bad in (-1, 2.5, Fraction(3)):
             with pytest.raises(ValueError, match="^upper limit must be a nonnegative"):
                 read(bad)

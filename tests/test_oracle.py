@@ -1,15 +1,15 @@
 import sys
 import threading
 from fractions import Fraction
-from itertools import combinations
-from math import factorial, gcd, lcm
+from itertools import accumulate, combinations
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mhsums
-from mhsums.oracle import _cache, _pairs, harmonic, is_proper, mhs_eval, mhs_values
+from mhsums.oracle import _cache, _pair, _pairs, harmonic, is_proper, mhs_eval, mhs_values
 
 
 def brute(n, comp):
@@ -126,16 +126,25 @@ def fraction_values(comp, n, cache):
     return vals
 
 
-def assert_tables_reduced(comp, n):
-    """Every stored pair up to n of every suffix table of comp is in lowest
-    terms, over a positive denominator.  (Other tests may have grown the
-    tables far past n.)"""
+def assert_tables_scaled(comp, n):
+    """Every stored entry up to n of every suffix table of comp is the int
+    H_m(suffix) * lcm(1..m)**w, w the sum of the suffix's positive entries,
+    and each nonempty suffix's running lcm is lcm(1..m) at its last m.
+    (Other tests may have grown the tables far past n.)"""
+    reference, lcms = {}, list(accumulate(range(1, n + 1), lcm, initial=1))
     for i in range(len(comp) + 1):
-        table = _cache.get(comp[i:])
+        suffix = comp[i:]
+        table = _cache.get(suffix)
         if table is not None:
-            assert len(table.nums) == len(table.dens) == len(table)
-            for a, b in zip(table.nums[: n + 1], table.dens):
-                assert b > 0 and gcd(a, b) == 1
+            w = sum(k for k in suffix if k > 0)
+            assert table.weight == w
+            if suffix:  # the empty composition's table keeps no lcm
+                assert table.lcm == lcm(*range(1, len(table)))
+            top = min(n, len(table) - 1)
+            want = fraction_values(suffix, top, reference)
+            for m in range(top + 1):
+                assert type(table.nums[m]) is int
+                assert table.nums[m] == want[m] * lcms[m] ** w
 
 
 extended_comps = st.tuples(
@@ -151,7 +160,8 @@ def test_tables_match_fraction_tables(comp, n):
     assert mhs_eval(n, comp) == want[n]
     nums, dens = _pairs(n, comp)
     assert [Fraction(a, b) for a, b in zip(nums[: n + 1], dens)] == want
-    assert_tables_reduced(comp, n)
+    assert _pair(n, comp) == want[n].as_integer_ratio()
+    assert_tables_scaled(comp, n)
 
 
 # compositions that share suffixes, so that one request extends the tables
@@ -184,7 +194,7 @@ def test_requests_in_any_order_share_tables(order):
     for comp, n in order:
         assert mhs_values(n, comp) == reference[comp][: n + 1]
         assert mhs_eval(n, comp) == reference[comp][n]
-        assert_tables_reduced(comp, n)
+        assert_tables_scaled(comp, n)
 
 
 def test_public_values_are_fresh_fractions():
@@ -239,24 +249,49 @@ def test_two_threads_extend_and_read_one_table():
         sys.setswitchinterval(interval)
     assert bad == []
     assert mhs_values(top, comp) == want
-    assert_tables_reduced(comp, top)
+    assert_tables_scaled(comp, top)
 
 
 def test_scaled_numerators_after_verify():
-    # every entry closed-form evaluation filled is H_m(comp) * lcm(1..m)**w
+    # every table that verify and closed-form evaluation built holds
+    # H_m(comp) * lcm(1..m)**w at every m it stored
     mhsums.clear_caches()
     assert mhsums.run_verify("all", 80, echo=lambda line: None) == 0
-    filled = 0
-    for comp, table in _cache.items():
-        if not is_proper(comp):
-            assert table.scaled == []
-            continue
-        w = sum(comp)
-        assert len(table.scaled) <= len(table)
-        for m, scaled in enumerate(table.scaled):
-            if scaled is not None:
-                filled += 1
-                power = lcm(*range(1, m + 1)) ** w
-                assert type(scaled) is int
-                assert scaled * table.dens[m] == table.nums[m] * power
-    assert filled > 1000
+    tables = dict(_cache)
+    assert sum(len(table) for table in tables.values()) > 1000
+    assert any(not is_proper(comp) for comp in tables)
+    for comp, table in tables.items():
+        assert_tables_scaled(comp, len(table) - 1)
+
+
+# first entries up to 50 and a negative one, at depth 1 and 2; n runs past
+# the prime powers 243 = 3**5, 256 = 2**8 and 289 = 17**2
+WIDE_COMPS = ((50,), (50, 1), (7, 13), (-9, 4), (-50, 50), (1, 50))
+WIDE_STOPS = (0, 1, 242, 243, 244, 255, 256, 288, 289, 300)
+
+
+def plain_sums(comp, top):
+    """H_0(comp), ..., H_top(comp) for a depth of 1 or 2, as plain running
+    Fraction sums."""
+    k, tail = comp[0], comp[1:]
+    inner, outer = [Fraction(0 if tail else 1)], [Fraction(0)]  # H_m(tail), H_m(comp)
+    for m in range(1, top + 1):
+        outer.append(outer[-1] + Fraction(m) ** -k * inner[-1])
+        inner.append(inner[-1] + Fraction(1, m ** tail[0]) if tail else inner[-1])
+    return outer
+
+
+def test_wide_entries_across_prime_powers():
+    want = {comp: plain_sums(comp, 300) for comp in WIDE_COMPS}
+    mhsums.clear_caches()
+    # each table is extended from every stop, so its running lcm is picked
+    # up just before, at and just after each prime power
+    for n in WIDE_STOPS:
+        for comp in WIDE_COMPS:
+            assert mhs_eval(n, comp) == want[comp][n]
+            assert _pair(n, comp) == want[comp][n].as_integer_ratio()
+    for comp in WIDE_COMPS:
+        assert mhs_values(300, comp) == want[comp]
+        nums, dens = _pairs(300, comp)
+        assert [Fraction(a, b) for a, b in zip(nums, dens)] == want[comp]
+        assert_tables_scaled(comp, 300)
