@@ -15,7 +15,7 @@ from . import bernoulli as _bernoulli
 from . import oracle as _oracle
 from .bernoulli import BernoulliTable, bernoulli, check_twoBs, umbral_eval
 from .closedform import ClosedForm
-from .oracle import harmonic, is_proper, mhs_eval, mhs_values
+from .oracle import _lcm_upto, harmonic, is_proper, mhs_eval, mhs_values
 from .polynomial import Polynomial, discrete_sum
 from .reducer import _bernoulli_ints, _c_poly, _reduce, c_poly
 from .reducer import d_umbral, faulhaber, reduce, reduce_direct
@@ -43,13 +43,14 @@ _MEMOS = (
     _bernoulli_ints,
     _stuffle,
     _expand_power,
+    _lcm_upto,
 )
 
 
 def clear_caches() -> None:
-    """Empty every memo and table: the six ``lru_cache`` memos of the
-    reducer and the stuffle, the direct evaluator's tables (which
-    closed-form evaluation reads too) and the shared Bernoulli table.
+    """Empty every memo and table: the seven ``lru_cache`` memos of the
+    reducer, the stuffle and the oracle's lcm(1..n), the oracle's tables
+    (which closed-form evaluation reads too) and the shared Bernoulli table.
     Results stay the same; they are computed again when next needed."""
     for memo in _MEMOS:
         memo.cache_clear()

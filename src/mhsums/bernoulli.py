@@ -43,7 +43,7 @@ class BernoulliTable:
     def value(self, n: int, convention: Optional[Convention] = None) -> Fraction:
         if not isinstance(n, int) or n < 0:
             raise ValueError("Bernoulli index must be a nonnegative integer")
-        convention = convention or self.convention
+        convention = self.convention if convention is None else convention
         _check_convention(convention)
         if n >= len(self._minus):
             self._grow(n)
@@ -74,6 +74,7 @@ def bernoulli(n: int, convention: Convention = "plus") -> Fraction:
 def umbral_eval(P: Polynomial, convention: Convention = "plus") -> Fraction:
     """Umbral value of P: each power x**i is replaced by the i-th Bernoulli
     number, i.e. sum_i c_i * B_i."""
+    _check_convention(convention)
     acc = Fraction(0)
     for i, c in enumerate(P._ints):
         if c:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, prod
 
@@ -167,11 +168,13 @@ def _scaled(lo: int, hi: int, comp: "tuple[int, ...]") -> "list[int]":
     return _values(comp, hi).nums[lo : hi + 1]
 
 
+@lru_cache(maxsize=1)
 def _lcm_upto(n: int) -> int:
     """lcm(1..n), as the product of the largest prime powers up to n: the
     primes up to sqrt(n) by a sieve, each raised to its largest power up to
     n, and the primes above sqrt(n) once each.  Folding lcm over 1..n would
-    take a gcd with the growing lcm at every step."""
+    take a gcd with the growing lcm at every step.  The last n is memoized:
+    a ``table`` row reads it for the oracle and for the closed form."""
     root = isqrt(n)
     sieve = bytearray([1]) * (n + 1)
     out = 1

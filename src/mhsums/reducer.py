@@ -1,13 +1,23 @@
 """Rewrites power-weighted harmonic sums as closed forms over proper sums.
 
-The quantity handled here is sum_{m=1..n} G(m) * H_{m-1}(k_1, ..., k_r) for a
-polynomial weight G; ``reduce`` takes G = m**p, the extended sum with leading
-index -p.  With S = s_1 x + s_2 x**2 + ... the power sum of G, summation by
-parts gives sum G(m) H_{m-1}(k, c) = S(n) H_n(k, c) - sum_{0<j<k} s_j H_n(k-j, c)
-- sum G'(m) H_{m-1}(c), where G' = sum_{j>=k} s_j x**(j-k): the same shape, one
-entry shorter.  So one loop over the entries carries the weight and a sign,
-adds each step's rows to one accumulator and stops once the weight is zero;
-no coefficient degree exceeds deg(G) + 1.
+The quantity handled here is sum_{m=1..n} G(m) * X(m-1) for a polynomial
+weight G and a combination X of multiple harmonic sums: ``reduce`` takes
+G = m**p and X = H(k_1, ..., k_r), the extended sum with leading index -p,
+and ``mhsums.sums`` powers and products of depth-one sums.  All of them run
+one summation by parts, ``_by_parts``, over states v, each standing for a
+combination combs[v].  An edge (w, factor, J) from v says that
+X_v(m) - X_v(m-1) holds -factor * m**-J * X_w(m-1).  With
+S = s_1 x + s_2 x**2 + ... the power sum of v's weight G,
+
+    sum G(m) X_v(m-1) = S(n) X_v(n) + sum_edges factor * sum S(m) m**-J X_w(m-1).
+
+The part sum_{i>=J} s_i m**(i-J) of S(m) m**-J joins w's weight, and each
+tail s_i m**-(J-i), 0 < i < J, sums to s_i H_n(J-i, c) for every
+composition c of combs[w].  The states come top first and the step is
+linear in the weight, so all paths into a state merge into one weight and
+one power sum; no coefficient degree exceeds deg(G) + 1.  For ``reduce``
+the states are the suffixes comp[i:], each its own combination, with one
+edge from (k, c) to c: factor -1 and J = k.
 
 ``reduce_direct`` computes the same closed form in a single pass from the
 fully unrolled three-block summation formula and exists purely as an
@@ -45,8 +55,8 @@ reads B_0..B_h once, as ints over their lcm (``_bernoulli_ints``), which
 ``Polynomial`` as they are; ``reduce_direct`` adds its states to the
 accumulator as ints.  The power sums of the summation by parts
 (``_power_sum``) take and return ints over a denominator, adding
-Faulhaber's rows over their lcm, and the walk adds them to the accumulator
-as they are.
+Faulhaber's rows over their lcm; the walk hands them to the accumulator,
+and their slices to the lower states as weights and tails, as they are.
 """
 
 from __future__ import annotations
@@ -58,7 +68,7 @@ from functools import lru_cache
 from .bernoulli import bernoulli, umbral_eval
 from .closedform import ClosedForm, _Accumulator
 from .oracle import is_proper
-from .polynomial import Polynomial, _muladd, _reduced
+from .polynomial import Polynomial, _muladd, _muladd_over, _reduced
 
 __all__ = ["faulhaber", "c_poly", "d_umbral", "reduce", "reduce_direct"]
 
@@ -173,7 +183,12 @@ def reduce(p: int, comp: "tuple[int, ...]" = ()) -> ClosedForm:
 
 @lru_cache(maxsize=None)
 def _reduce(p: int, comp: "tuple[int, ...]") -> ClosedForm:
-    return _by_parts({comp: 1}, Polynomial.monomial(p))
+    states = [comp[i:] for i in range(len(comp) + 1)]
+    combs = {s: {s: 1} for s in states}
+    edges = lambda s: ((s[1:], -1, s[0]),) if s else ()
+    out = _Accumulator()
+    _by_parts(out, Polynomial.monomial(p), states, combs, edges)
+    return out.freeze()
 
 
 def _power_sum(G: "list[int]", den: int) -> "tuple[list[int], int]":
@@ -195,25 +210,35 @@ def _power_sum(G: "list[int]", den: int) -> "tuple[list[int], int]":
     return total, den // g
 
 
-def _by_parts(comb, weight: Polynomial) -> ClosedForm:
-    """Closed form of sum_{m=1..n} G(m) * (the combination ``comb`` of
-    H_{m-1} sums) for the polynomial G = ``weight``: one walk per
-    composition, all into one accumulator."""
-    out = _Accumulator()
-    for comp, c in comb.items():
-        G, den = weight._ints, weight._den
-        for i in range(len(comp) + 1):
-            if not c or not any(G):
-                break
-            S, den = _power_sum(G, den)
-            out.add_ints(comp[i:], S, den, c)
-            if i < len(comp):
-                k = comp[i]
-                for j in range(1, min(k, len(S))):
-                    if S[j]:
-                        out.add_ints((k - j,) + comp[i + 1 :], (S[j],), den, -c)
-                G, c = S[k:], -c
-    return out.freeze()
+def _by_parts(out: _Accumulator, weight: Polynomial, states, combs, edges) -> None:
+    """Add sum_{m=1..n} G(m) * X(m-1) to ``out``, for G = ``weight`` and X =
+    ``combs[states[0]]``, by the summation by parts of the module docstring."""
+    # state -> [den, ints]: the polynomial part of its weight, ascending, and
+    # its tails, where entry r is the coefficient of m**-r; both over den
+    polys = {states[0]: [weight._den, weight._ints]}
+    tails = {}
+    for v in states:
+        comb = combs[v]
+        tden, row = tails.pop(v, (1, ()))
+        for r, c in enumerate(row):
+            if c:
+                for comp, cc in comb.items():
+                    out.add_ints((r,) + comp, (c,), tden, cc)
+        den, G = polys.pop(v, (1, ()))
+        if not any(G):
+            continue
+        S, den = _power_sum(G, den)
+        for comp, cc in comb.items():
+            out.add_ints(comp, S, den, cc)
+        # each lower state w takes factor * S(m) * m**-J: the polynomial
+        # part as weight, the negative powers as tails
+        for w, factor, J in edges(v):
+            _muladd_over(polys.setdefault(w, [den, []]), S[J:], den, factor)
+            if J > 1:
+                lower = [0] * J
+                for i in range(1, min(J, len(S))):
+                    lower[J - i] = S[i]
+                _muladd_over(tails.setdefault(w, [den, []]), lower, den, factor)
 
 
 def reduce_direct(p: int, comp: "tuple[int, ...]") -> ClosedForm:

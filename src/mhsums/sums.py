@@ -1,25 +1,17 @@
 """Closed forms for weighted sums of powers and products of harmonic numbers.
 
 ``sum_power`` turns sum_{m=1..n} F(m) * H_{m-1}**t into a flat closed form
-by summation by parts on the power itself, level by level.  Write
-T_u(G) = sum_{m<=n} G(m) H_{m-1}**u and let S = s_1 x + s_2 x**2 + ... be
-the power sum of G.  Since H_m**u - H_{m-1}**u = sum_{j=1..u} C(u, j)
-m**-j H_{m-1}**(u-j),
-
-    T_u(G) = S(n) H_n**u - sum_{j=1..u} C(u, j) sum_m S(m) m**-j H_{m-1}**(u-j).
-
-The polynomial part sum_{i>=j} s_i m**(i-j) of S(m) m**-j is a weight for
-level u - j, and each tail s_i m**-(j-i), 0 < i < j, sums to
-s_i H_n(j-i, c) for every composition c of H_n**(u-j) (``expand_power``).
-The step is linear in G, so every path to a level merges into one weight:
-t + 1 power sums instead of one walk per composition of the expanded
-power.  ``sum_product`` does the same over products of depth-one sums,
-e.g. H_{m-1} * H_{m-1}(2): a state is the vector of multiplicities per
-distinct order, and a step from v to w < v carries -prod_i C(v_i, w_i) and
-the shift J = sum_i k_i (v_i - w_i).  Every state is visited once, from the
-top down, and all of them add into one accumulator.  Weights, tails and
-power sums are int numerators over a denominator, read from and frozen into
-polynomials' int rows as they are.
+by the reducer's summation by parts (``reducer._by_parts``) on the power
+itself; ``sum_product`` does the same over products of depth-one sums,
+e.g. H_{m-1} * H_{m-1}(2).  A state of ``_levels`` is the vector v of
+multiplicities per distinct order k_i: the product of the H(k_i)**v_i,
+expanded by the stuffle (``expand_power``, ``product_combinations``).
+Since H_m(k) = H_{m-1}(k) + m**-k, that product at m less its value at
+m - 1 sums, over every w < v, prod_i C(v_i, w_i) m**-J times the product
+for w at m - 1, with J = sum_i k_i (v_i - w_i).  So the edge from v to w
+carries -prod_i C(v_i, w_i) and J.  The states run in descending
+lexicographic order, one power sum each: t + 1 for H**t instead of one
+walk per composition of the expanded power.
 ``sum_power_shifted`` handles the H_m (unshifted-argument) variant via
 sum_{m=0..n} F(m) H_m**t = F(n) H_n**t + sum_{m=1..n} F(m-1) H_{m-1}**t;
 it and ``structure_check`` add their extra terms to the same accumulator.
@@ -42,8 +34,8 @@ from fractions import Fraction
 
 from .bernoulli import bernoulli, umbral_eval
 from .closedform import ClosedForm, _Accumulator
-from .polynomial import Polynomial, _muladd_over, discrete_sum
-from .reducer import _check_power, _power_sum, c_poly, d_umbral, faulhaber
+from .polynomial import Polynomial, discrete_sum
+from .reducer import _by_parts, _check_power, c_poly, d_umbral, faulhaber
 from .stuffle import expand_power, product_combinations
 
 __all__ = [
@@ -114,11 +106,9 @@ def sum_product(F: Polynomial, factors: "list[tuple[int, int]]") -> ClosedForm:
 def _levels(out: _Accumulator, weight: Polynomial, powers) -> None:
     """Add sum_{m=1..n} G(m) * prod_i H_{m-1}(k_i)**e_i to ``out``, for the
     polynomial G = ``weight`` and ``powers`` the pairs (k_i, e_i) of
-    distinct orders: summation by parts level by level, one merged weight
-    per vector of exponents (see the module docstring)."""
+    distinct orders, over the states and edges of the module docstring."""
     if not weight:
         return
-    den, G = weight._den, weight._ints
     orders = [k for k, _ in powers]
     # descending lexicographic order: every state comes before those below it
     states = list(itertools.product(*(range(e, -1, -1) for _, e in powers)))
@@ -133,36 +123,14 @@ def _levels(out: _Accumulator, weight: Polynomial, powers) -> None:
         if len(nonzero) > 1:  # the state without its last order, times this
             power = product_combinations(combs[v[:i] + (0,) * (len(v) - i)], power)
         combs[v] = power
-    # state -> [den, ints]: the polynomial part of its weight, ascending, and
-    # its tails, where entry r is the coefficient of m**-r; both over den
-    polys = {states[0]: [den, G]}
-    tails = {}
-    for v in states:
-        comb = combs[v]
-        tden, row = tails.pop(v, (1, ()))
-        for r, c in enumerate(row):
-            if c:
-                for comp, cc in comb.items():
-                    out.add_ints((r,) + comp, (c,), tden, cc)
-        den, G = polys.pop(v, (1, ()))
-        if not any(G):
-            continue
-        S, den = _power_sum(G, den)
-        for comp, cc in comb.items():
-            out.add_ints(comp, S, den, cc)
-        # each lower state w takes -prod C(v_i, w_i) * S(m) * m**-J: the
-        # polynomial part as weight, the negative powers as tails
+
+    def edges(v):
         for w in itertools.product(*(range(e + 1) for e in v)):
-            if w == v:
-                continue
-            factor = -math.prod(map(math.comb, v, w))
-            J = sum(k * (a - b) for k, a, b in zip(orders, v, w))
-            _muladd_over(polys.setdefault(w, [den, []]), S[J:], den, factor)
-            if J > 1:
-                lower = [0] * J
-                for i in range(1, min(J, len(S))):
-                    lower[J - i] = S[i]
-                _muladd_over(tails.setdefault(w, [den, []]), lower, den, factor)
+            if w != v:
+                J = sum(k * (a - b) for k, a, b in zip(orders, v, w))
+                yield w, -math.prod(map(math.comb, v, w)), J
+
+    _by_parts(out, weight, states, combs, edges)
 
 
 # --------------------------------------------------------------- structured

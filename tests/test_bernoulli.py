@@ -98,3 +98,12 @@ def test_check_twoBs_known_roots():
     assert check_twoBs(2 * x + 1) == (True, True)
     assert check_twoBs(2 * x - 1) == (False, False)
     assert check_twoBs(Polynomial.zero()) == (True, True)
+
+
+def test_conventions_checked_for_every_input():
+    # the zero polynomial reads no Bernoulli number, and "" is not "no convention"
+    with pytest.raises(ValueError, match="unknown Bernoulli convention"):
+        umbral_eval(Polynomial.zero(), "bogus")
+    with pytest.raises(ValueError, match="unknown Bernoulli convention"):
+        BernoulliTable("minus").value(1, "")
+    assert BernoulliTable("minus").value(1, None) == Fraction(-1, 2)

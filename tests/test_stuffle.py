@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import mhsums
 from mhsums.bernoulli import _SHARED
-from mhsums.oracle import _cache, mhs_eval
+from mhsums.oracle import _cache, _lcm_upto, mhs_eval
 from mhsums.polynomial import Polynomial
 from mhsums.reducer import _bernoulli_ints, _c_poly, _reduce, faulhaber
 from mhsums.stuffle import (
@@ -147,11 +147,12 @@ def test_clear_caches_empties_every_memo():
         _bernoulli_ints,
         _stuffle,
         _expand_power,
+        _lcm_upto,
     )
     assert set(memos) == set(mhsums._MEMOS)
     assert all(memo.cache_info().currsize for memo in memos) and _cache
     mhsums.clear_caches()
-    assert [memo.cache_info().currsize for memo in memos] == [0] * 6
+    assert [memo.cache_info().currsize for memo in memos] == [0] * 7
     assert _cache == {}
     assert _SHARED._minus == [1]
     assert results() == before

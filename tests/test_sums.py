@@ -85,13 +85,25 @@ def test_sum_product_equals_power_route():
         assert sum_product(x, [(1, t)]) == sum_power(x, t)
 
 
+def by_parts_chains(comb, F):
+    """sum_{m=1..n} F(m) * comb(H_{m-1}) as one ``_by_parts`` walk down the
+    chain of suffixes per composition of ``comb``, started from c * F."""
+    out = _Accumulator()
+    for comp, c in comb.items():
+        states = [comp[i:] for i in range(len(comp) + 1)]
+        combs = {s: {s: 1} for s in states}
+        edges = lambda s: ((s[1:], -1, s[0]),) if s else ()
+        _by_parts(out, c * F, states, combs, edges)
+    return out.freeze()
+
+
 def test_levels_match_by_parts():
-    # the level recursion against one walk per composition of the product
+    # the level recursion against one suffix chain per composition of the product
     dense = Polynomial([Fraction(k % 7 - 3, k % 4 + 1) for k in range(9)])
     weights = (one, x, 3 * x * x - 5 * x + 2, x ** 5 - x / 3, dense)
     for F in weights:
         for t in range(8):
-            assert sum_power(F, t) == _by_parts(expand_power(1, t), F)
+            assert sum_power(F, t) == by_parts_chains(expand_power(1, t), F)
     factor_lists = (
         [(1, 1), (1, 2)],
         [(2, 1), (3, 2)],
@@ -105,10 +117,31 @@ def test_levels_match_by_parts():
         for order, mult in factors:
             comb = product_combinations(comb, expand_power(order, mult))
         for F in weights:
-            assert sum_product(F, factors) == _by_parts(comb, F)
+            assert sum_product(F, factors) == by_parts_chains(comb, F)
     F = weights[2]
     assert sum_product(F, [(2, 1), (2, 1)]) == sum_product(F, [(2, 2)])
     assert sum_product(F, [(1, 1), (1, 2)]) == sum_power(F, 3)
+
+
+def test_chains_on_shared_suffixes_match_reduce():
+    # compositions that share the suffixes (1,), (2, 1) and (1, 1), all
+    # walked into one accumulator, against reduce term by term
+    comb = {
+        (2, 1): Fraction(3),
+        (3, 2, 1): Fraction(-1, 2),
+        (1, 1): Fraction(5, 7),
+        (4, 1, 1): Fraction(2),
+        (1,): Fraction(-4),
+        (): Fraction(1, 3),
+    }
+    dense = Polynomial([Fraction(k % 7 - 3, k % 4 + 1) for k in range(9)])
+    for F in (one, 3 * x * x - 5 * x + 2, dense):
+        want = ClosedForm()
+        for comp, c in comb.items():
+            for q, a in enumerate(F.coeffs):
+                if a:
+                    want = want + reduce(q, comp).scale(c * a)
+        assert by_parts_chains(comb, F) == want
 
 
 def fraction_levels(weight, powers):
