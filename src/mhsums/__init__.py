@@ -49,13 +49,15 @@ _MEMOS = (
 
 def clear_caches() -> None:
     """Empty every memo and table: the seven ``lru_cache`` memos of the
-    reducer, the stuffle and the oracle's lcm(1..n), the oracle's tables
-    (which closed-form evaluation reads too) and the shared Bernoulli table.
-    Results stay the same; they are computed again when next needed."""
+    reducer, the stuffle and the oracle's lcm(1..n), the oracle's tables and
+    its sieve of lcm steps (which closed-form evaluation reads too) and the
+    shared Bernoulli table.  Results stay the same; they are computed again
+    when next needed."""
     for memo in _MEMOS:
         memo.cache_clear()
     with _oracle._lock:
         _oracle._cache.clear()
+        _oracle._steps = [1, 1]  # a reader holding the old list keeps it whole
     table = _bernoulli._SHARED
     with table._lock:
         del table._minus[1:]

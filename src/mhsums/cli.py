@@ -95,10 +95,10 @@ MAX_CONSTANT_BITS = 40_000  # numerator or denominator of a literal, power or pr
 # tables grow with depth: with 1,000 ones reduce -p 0 prints 1 MB.  The
 # oracle keeps H_m(suffix) * lcm(1..m)**w for a suffix of weight w, about
 # 1.44 * m * w bits per value even where the value in lowest terms is far
-# smaller, so deep compositions of ones cost more than their values: on a
-# 2-vCPU VM mhs_eval at n = 1,000 with as many ones takes 1.8 s and 90 MB,
-# and the costliest accepted eval of this shape, --n 180 with 100 ones,
-# 0.13 s and 25 MB.  The bound is kept unchanged.
+# smaller, so deep compositions of ones cost more than their values.  On a
+# 2-vCPU VM (Python 3.11.7), mhs_eval at n = 1,000 with as many ones takes
+# 1.1 s and 90 MB; the costliest accepted eval of this shape, --n 180 with
+# 100 ones, takes 0.11 s and 24 MB.
 MAX_DEPTH = 100  # entries of --comp
 # The direct evaluator builds a table of n exact values per suffix of the
 # composition, and the Bernoulli table costs m exact terms for its m-th entry.
@@ -107,40 +107,31 @@ MAX_BERNOULLI = 1_000  # bernoulli --max
 # The values of the table for a suffix of weight w grow to the bits of
 # lcm(1..n)**w, about 1.44 * n * w.  A step multiplies the tail's value by a
 # short factor and adds it, and at a prime power multiplies both by a small
-# power: each is linear in the bits, with no gcd, so a table costs about
-# n**2 * w.  The estimate n**2 * w_last + n**3 * sum(w**2) / 5000 was fitted
-# when every table but the last took gcds of full-size values, quadratic in
-# the bits; on tables of Fractions it took at most about 4 s at this limit on
-# a 2-vCPU VM.  On the gcd-free tables (see ``oracle``) the costliest
-# accepted inputs take 0.1 to 1.3 s there, eval --n 2000 --comp 100 the
-# longest.  The estimate is an upper one, kept unchanged so that eval accepts
-# and refuses the same inputs as before.
+# power: each is linear in the bits, so a table costs about n**2 * w.  The
+# estimate n**2 * w_last + n**3 * sum(w**2) / 5000 charges every suffix but
+# the last as if its steps were quadratic in the bits, an upper estimate:
+# on the VM above CI's five eval inputs, the costliest accepted ones found,
+# take 0.11 to 1.2 s cold, eval --n 2000 --comp 100 the longest.
 MAX_EVAL_COST = 400_000_000  # eval, see _eval_cost
 # reduce walks its composition by summation by parts (see ``reducer``): step
 # i, at a weight of degree d, sums about d**2 products of numbers that grow
-# with i.  Fitted to timed reduce and sum runs, a step costs
-# (d + 1)**2.8 * (i + 1)**0.9 + 3000 units of about 11 ns on a 2-vCPU VM; the
-# costliest accepted reduce inputs found take 3.3 to 4 s, and 6.4 s with
-# --method both, which also runs the direct formula at about the same cost.
-# sum and check are still estimated as one such walk per composition of
-# their product, as they ran before ``sums`` merged its levels.  That is now
-# an upper estimate for them, kept unchanged, so that they accept and refuse
-# the same inputs as before.
+# with i.  A step is estimated at (d + 1)**2.8 * (i + 1)**0.9 + 3000 units,
+# fitted to timed reduce and sum runs.  sum and check are estimated as one
+# such walk per composition of their product; ``sums`` shares one walk
+# among them, so for them this is an upper estimate.  On the VM above the
+# longest accepted chains, 43 ones at -p 100 and 93 ones at -p 60, take 0.5
+# and 1.0 s cold, and 1.1 s each with --method both, which also runs the
+# direct formula; sum --poly m^21 --power 12 takes 0.3 s.
 MAX_WALK_COST = 300_000_000  # reduce, sum and check, see _walk_cost
 MAX_VERIFY_N = 200  # verify --max-n
 MAX_TABLE_WEIGHT = 12  # table --weight-max, which lists 2**w compositions
 MAX_TABLE_N = 10_000  # table --n; table --p-max is bounded by MAX_DEGREE
 # table reduces, evaluates and checks against the oracle each of its 2**w
-# rows per p.  Fitted to timed tables, in the units of MAX_WALK_COST, a row
-# costs its walk plus 3000 + 400 * (p + 1)**1.5 * (w + 1) for the rest of
-# reduce and the evaluation, and an oracle table costs 1200 per value plus
-# MAX_EVAL_COST's estimate of its bits.  The costliest accepted tables found
-# took 2.6 to 5.8 s on a 2-vCPU VM when these terms were fitted, with
-# ClosedForm.eval running Horner's scheme on Fraction values and the oracle
-# holding Fractions.  Both now run on ints over known denominators, with no
-# gcd per step (see ``oracle`` and ``closedform``): CI's three table inputs
-# take 0.2 to 0.5 s there, so the terms are upper estimates.  They are kept
-# unchanged, so that table accepts and refuses the same inputs as before.
+# rows per p.  In the units of MAX_WALK_COST, a row costs its walk plus
+# 3000 + 400 * (p + 1)**1.5 * (w + 1) for the rest of reduce and the
+# evaluation, and an oracle table costs 1200 per value plus MAX_EVAL_COST's
+# estimate of its bits.  These are upper estimates: on the VM above CI's
+# three table inputs take 0.15 to 0.5 s cold.
 MAX_TABLE_COST = 400_000_000  # table, see _table_cost
 
 

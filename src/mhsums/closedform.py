@@ -22,9 +22,10 @@ denominators, and one known denominator per weight: with L = lcm(1..n),
 the denominator of H_n(comp) divides L**w for w = sum(comp).  The direct
 evaluator keeps each table's values as numerators over L**w and hands out
 a slice of them (``oracle._scaled``); ``_ratios`` takes lcm(1..lo) from
-the oracle's sieve (``oracle._lcm_upto``) and each next L by one lcm.
-Over the column of n, Horner's scheme gives each coefficient's values as
-ints, their products with the numerators sum per weight into S_w, and the
+the oracle (``oracle._lcm_upto``) and each next L as the last one times
+the step r_n of the oracle's sieve (``oracle._steps_upto``).  Over the
+column of n, Horner's scheme gives each coefficient's values as ints,
+their products with the numerators sum per weight into S_w, and the
 weights combine by Horner's scheme in L: the value is the int pair
 (sum_w S_w * L**(W - w), L**W * D), W the largest weight, with no gcd, lcm
 or division per term and n.  ``values(max_n)`` and ``eval(n)`` build one
@@ -49,7 +50,7 @@ from itertools import accumulate, repeat
 from operator import add, mul
 from typing import Iterable, Mapping, Union
 
-from .oracle import _lcm_upto, _scaled, is_proper
+from .oracle import _lcm_upto, _scaled, _steps_upto, is_proper
 from .polynomial import _FORMATS, Polynomial, _muladd, _muladd_over
 from .polynomial import _lowest, _reduced, _render, _row, join_signed
 from .stuffle import composition_key
@@ -219,7 +220,8 @@ class ClosedForm:
         polys = self._terms.values()
         den = math.lcm(*[poly._den for poly in polys])
         span = range(lo, hi + 1)
-        lcms = list(accumulate(span[1:], math.lcm, initial=_lcm_upto(lo)))
+        steps = _steps_upto(hi)[lo + 1 : hi + 1]
+        lcms = list(accumulate(steps, mul, initial=_lcm_upto(lo)))
         sums = {}  # weight -> the column of S_w over span
         for comp, poly in self._terms.items():
             scale, ints = den // poly._den, poly._ints

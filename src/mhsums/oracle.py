@@ -12,26 +12,29 @@ composition and cached, so a single evaluation costs O(n * depth) exact
 operations instead of a depth-deep nested loop, and repeated evaluations
 are lookups.  A table is one append-only list of ints, the values times
 L(m)**w, where L(m) = lcm(1..m) and w is the sum of the composition's
-positive entries: that power clears every denominator of H_m.  With
-r = m / gcd(L(m-1), m), which is 1 except at a power of the prime r, a
-step is
+positive entries: that power clears every denominator of H_m.
+
+Every L(m) here and in its readers comes from one rule, L(m) = L(m-1) * r_m,
+where r_m is the prime p when m is a power of p and 1 otherwise.  One sieve
+keeps r_0, r_1, ... (``_steps_upto``); it grows by doubling under the lock.
+With r = r_m, a step of a table is
 
     N_m = (N_{m-1} * r**k + T_{m-1} * L(m)**k / m**k) * r**w_tail  (k > 0)
     N_m = (N_{m-1} + T_{m-1} * m**|k|) * r**w_tail                 (k <= 0)
 
 for the first entry k and the tail's table T, with no gcd and no division
-but the exact one by the small m**k.  Each table keeps its running L, and
-L(m)**k changes only at prime powers.  This module shares no arithmetic
-with the reducer, the sums or ``polynomial``: it stays an independent
-judge of their closed forms.
+but the exact one by the small m**k; L(m)**k changes only at prime powers.
+lcm(1..n) itself is the product of the sieve's r_m > 1 (``_lcm_upto``).
+This module shares no arithmetic with the reducer, the sums or
+``polynomial``: it stays an independent judge of their closed forms.
 
 Readers take lowest terms only at the boundary.  ``mhs_eval``, the
 ``eval`` command and ``table`` read one point (``_pair``), reduced by one
 gcd against L(n)**w; ``mhs_values`` and ``verify`` read the numerators
-over L(m)**w (``_pairs``); closed-form evaluation reads the numerators
-themselves (``_scaled``).  The tables grow under one re-entrant lock, so
-they behave as if computed once even when shared between threads; an
-entry, once stored, never changes.
+over L(m)**w (``_pairs``, ``_scaled``); closed-form evaluation reads the
+numerators themselves (``_scaled``) and the sieve.  The tables and the
+sieve grow under one re-entrant lock, so they behave as if computed once
+even when shared between threads; an entry, once stored, never changes.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import accumulate, islice
 from math import gcd, isqrt, prod
+from operator import mul
 
 __all__ = [
     "Composition",
@@ -56,15 +60,13 @@ Composition = "tuple[int, ...]"
 
 class _Table:
     """H_m(comp) * lcm(1..m)**weight = nums[m], an int, for m < len(table),
-    where weight is the sum of comp's positive entries.  For a nonempty comp,
-    lcm is lcm(1..m) at the last m stored."""
+    where weight is the sum of comp's positive entries."""
 
-    __slots__ = ("nums", "weight", "lcm")
+    __slots__ = ("nums", "weight")
 
     def __init__(self, comp: "tuple[int, ...]"):
         self.nums = [0 if comp else 1]
         self.weight = sum(k for k in comp if k > 0)
-        self.lcm = 1
 
     def __len__(self) -> int:
         return len(self.nums)
@@ -72,6 +74,32 @@ class _Table:
 
 _cache: "dict[tuple[int, ...], _Table]" = {}
 _lock = threading.RLock()
+_steps = [1, 1]  # the sieve: _steps[m] = r_m = lcm(1..m) / lcm(1..m-1)
+
+
+def _steps_upto(n: int) -> "list[int]":
+    """The sieve r_0, r_1, ..., at least up to r_n: the list itself, which
+    may run past n, and which readers must not change.  It grows under the
+    lock to twice its length, or to n + 1 entries if that is more."""
+    steps = _steps
+    if len(steps) > n:
+        return steps
+    with _lock:
+        size = len(steps)
+        if size > n:
+            return steps
+        top = max(n + 1, 2 * size)
+        is_prime, powers = bytearray([1]) * top, {}
+        for p in range(2, isqrt(top - 1) + 1):
+            if is_prime[p]:
+                is_prime[p * p :: p] = bytes(len(range(p * p, top, p)))
+                q = p * p
+                while q < top:
+                    powers[q] = p
+                    q *= p
+        grown = [m if is_prime[m] else powers.get(m, 1) for m in range(size, top)]
+        steps.extend(grown)  # one call: readers without the lock see whole entries
+    return steps
 
 
 def is_proper(comp: "tuple[int, ...]") -> bool:
@@ -109,16 +137,14 @@ def _values(comp: "tuple[int, ...]", n: int) -> _Table:
                 nums.extend([1] * (top - len(nums)))
                 continue
             k, w, tw, tnums = suffix[0], table.weight, tail.weight, tail.nums
-            lcm, a = table.lcm, nums[-1]
-            power = lcm**k if k > 0 else 1
-            for m in range(len(nums), top):
-                # a = H_{m-1}(suffix) * lcm(1..m-1)**w; r = 1 but at prime powers
-                r = m // gcd(lcm, m)
-                if r > 1:
-                    lcm *= r
-                    if k > 0:
-                        power *= r**k
-                # c = m**-k * H_{m-1}(tail) * lcm(1..m)**(w - tw) * lcm(1..m-1)**tw
+            a, start = nums[-1], len(nums)
+            # L(start - 1)**k, unmemoized: the memo keeps the n ``table`` reads
+            power = _lcm_upto.__wrapped__(start - 1) ** k if k > 0 else 1
+            for m, r in enumerate(islice(_steps_upto(n), start, top), start):
+                # a = H_{m-1}(suffix) * L(m-1)**w
+                if r > 1 and k > 0:
+                    power *= r**k
+                # c = m**-k * H_{m-1}(tail) * L(m)**(w - tw) * L(m-1)**tw
                 c = tnums[m - 1]
                 if c:
                     c *= power // m**k if k > 0 else m**-k
@@ -127,7 +153,6 @@ def _values(comp: "tuple[int, ...]", n: int) -> _Table:
                 else:
                     a += c
                 nums.append(a)
-            table.lcm = lcm
         return table
 
 
@@ -153,13 +178,9 @@ def _pairs(n: int, comp: "tuple[int, ...]") -> "tuple[list[int], list[int]]":
     lcm(1..m)**w, not in lowest terms.  nums is the table's own list: it may
     run past n, and readers must not change it."""
     table = _values(_checked(n, comp), n)
-    w, lcm, den, dens = table.weight, 1, 1, [1]
-    for m in range(1, n + 1):
-        r = m // gcd(lcm, m)
-        if r > 1:
-            lcm, den = lcm * r, den * r**w
-        dens.append(den)
-    return table.nums, dens
+    w = table.weight
+    steps = islice(_steps_upto(n), 1, n + 1)
+    return table.nums, list(accumulate((r**w for r in steps), mul, initial=1))
 
 
 def _scaled(lo: int, hi: int, comp: "tuple[int, ...]") -> "list[int]":
@@ -170,22 +191,10 @@ def _scaled(lo: int, hi: int, comp: "tuple[int, ...]") -> "list[int]":
 
 @lru_cache(maxsize=1)
 def _lcm_upto(n: int) -> int:
-    """lcm(1..n), as the product of the largest prime powers up to n: the
-    primes up to sqrt(n) by a sieve, each raised to its largest power up to
-    n, and the primes above sqrt(n) once each.  Folding lcm over 1..n would
-    take a gcd with the growing lcm at every step.  The last n is memoized:
-    a ``table`` row reads it for the oracle and for the closed form."""
-    root = isqrt(n)
-    sieve = bytearray([1]) * (n + 1)
-    out = 1
-    for p in range(2, root + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-            q = p
-            while q * p <= n:
-                q *= p
-            out *= q
-    return out * prod(compress(range(root + 1, n + 1), sieve[root + 1 :]))
+    """lcm(1..n), the product of the sieve's r_m > 1 for m <= n.  The last n
+    is memoized: a ``table`` row reads it for the oracle and for the closed
+    form."""
+    return prod(filter((1).__lt__, islice(_steps_upto(n), n + 1)))
 
 
 def mhs_values(n: int, comp: "tuple[int, ...]") -> "list[Fraction]":

@@ -4,16 +4,23 @@ Each suite is a list of (label, check) pairs; a check returns (ok, detail).
 Results print one line per identity in a fixed order, and the overall
 status is 0 only when everything passed.  All random choices are seeded, so
 repeated runs are byte-identical.
+
+The oracle checks compare a closed form's values (``ClosedForm._ratios``)
+with direct values by cross multiplication.  For ``reduce`` these are the
+oracle's own values (``oracle._pairs``).  For the sums they are running sums
+of F(m) times a product of powers of harmonic sums, built from the oracle's
+numerators over den(F) * L(j)**w, with L(j) = lcm(1..j) and w the weight of
+the product: each step multiplies the running sum by the oracle's sieve step
+r_j**w and adds one term, with no gcd or lcm (``_direct_weighted_sum``).
 """
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
 from .closedform import ClosedForm
-from .oracle import _pair, _pairs
+from .oracle import _pair, _pairs, _scaled, _steps_upto
 from .polynomial import Polynomial, _horner
 from .reducer import reduce, reduce_direct
 from .stuffle import composition_key
@@ -98,23 +105,27 @@ def _matches_direct(closed: ClosedForm, direct, max_n: int):
     return True, ""
 
 
-def _direct_weighted_sum(F: Polynomial, factor_values, max_n: int, start: int):
-    """Running values of sum_{m=start..n} F(m) * prod(factors at m-1 or m),
-    as a pair of int lists (nums, dens); ``factor_values(n)`` gives the
-    product as an int pair (numerator, denominator > 0).  The sums run over
-    the lcm of the terms' denominators."""
+def _direct_weighted_sum(F: Polynomial, factors, max_n: int, start: int):
+    """Running values of sum_{m=start..n} F(m) * prod H_{m-start}(comp)**e
+    over the (composition, exponent) pairs ``factors`` of proper
+    compositions, as a pair of int lists (nums, dens) for n = 0..max_n.
+    With j = n - start, dens[n] = den(F) * L(j)**w for the weight w of the
+    product, and each term is F's row at m times the oracle's numerators."""
     den, row = F._den, F._ints
-    nums, dens = [], []
-    acc, lcm = 0, 1
-    for n in range(0, max_n + 1):
-        if n >= start:
-            a, b = factor_values(n)
-            a, b = _horner(row, n) * a, b * den
-            g = math.gcd(lcm, b)
-            acc = acc * (b // g) + a * (lcm // g)
-            lcm *= b // g
+    tables = [(_scaled(0, max_n, comp), e) for comp, e in factors]
+    w = sum(sum(comp) * e for comp, e in factors)
+    nums, dens = [0] * start, [den] * start
+    acc = 0
+    for j, r in enumerate(_steps_upto(max_n)[: max_n + 1 - start]):
+        if r > 1:
+            acc *= r**w
+            den *= r**w
+        term = _horner(row, j + start)
+        for values, e in tables:
+            term *= values[j] ** e
+        acc += term
         nums.append(acc)
-        dens.append(lcm)
+        dens.append(den)
     return nums, dens
 
 
@@ -144,53 +155,28 @@ def reduce_suite_checks(max_n: int):
 
 
 def sums_suite_checks(max_n: int):
+    if not isinstance(max_n, int) or max_n < 0:  # as the oracle refuses it
+        raise ValueError("upper limit must be a nonnegative integer")
     checks = []
-    h1_nums, h1_dens = _pairs(max_n, (1,))
 
-    def power_oracle(F, t, shifted):
-        # shifted: sum_{m=0..n} F(m) H_m^t; else sum_{m=1..n} F(m) H_{m-1}^t
-        start = 0 if shifted else 1
-
+    def oracle_check(route, F, arg, factors, start):
+        # sum_{m=start..n} F(m) * prod H_{m-start}(comp)**e against route(F, arg)
         def check():
-            closed = (sum_power_shifted if shifted else sum_power)(F, t)
-            direct = _direct_weighted_sum(
-                F,
-                lambda n: (h1_nums[n - start] ** t, h1_dens[n - start] ** t),
-                max_n,
-                start,
-            )
-            return _matches_direct(closed, direct, max_n)
+            direct = _direct_weighted_sum(F, factors, max_n, start)
+            return _matches_direct(route(F, arg), direct, max_n)
 
         return check
 
+    powers = (("sum-power", sum_power, 1), ("sum-power-shifted", sum_power_shifted, 0))
     for i, F in enumerate(_FIXED_WEIGHTS):
         for t in range(5):
-            checks.append(
-                (f"sum-power F#{i} t={t} oracle", power_oracle(F, t, False))
-            )
-            checks.append(
-                (f"sum-power-shifted F#{i} t={t} oracle", power_oracle(F, t, True))
-            )
-
-    def product_oracle(F):
-        def check():
-            closed = sum_product(F, [(1, 1), (2, 1)])
-            h2_nums, h2_dens = _pairs(max_n, (2,))
-            direct = _direct_weighted_sum(
-                F,
-                lambda n: (
-                    h1_nums[n - 1] * h2_nums[n - 1],
-                    h1_dens[n - 1] * h2_dens[n - 1],
-                ),
-                max_n,
-                start=1,
-            )
-            return _matches_direct(closed, direct, max_n)
-
-        return check
-
+            for name, route, start in powers:
+                check = oracle_check(route, F, t, [((1,), t)], start)
+                checks.append((f"{name} F#{i} t={t} oracle", check))
+    product = [((1,), 1), ((2,), 1)]
     for i, F in enumerate(_FIXED_WEIGHTS[:2]):
-        checks.append((f"sum-product F#{i} H*H(2) oracle", product_oracle(F)))
+        check = oracle_check(sum_product, F, [(1, 1), (2, 1)], product, 1)
+        checks.append((f"sum-product F#{i} H*H(2) oracle", check))
 
     def product_consistency():
         one = Polynomial.constant(1)

@@ -412,20 +412,25 @@ def test_oracle_mismatch_lines_past_the_first_n(monkeypatch):
 )
 def test_direct_weighted_sum_matches_fraction_sums(coeffs, t, start, max_n):
     F = Polynomial(coeffs)
-    h = [mhs_eval(n, (2, 1)) for n in range(max_n + 1)]
-    nums, dens = verify._direct_weighted_sum(
-        F,
-        lambda n: (h[n - start].numerator ** t, h[n - start].denominator ** t),
-        max_n,
-        start,
-    )
-    acc, want = Fraction(0), []
-    for n in range(max_n + 1):
-        if n >= start:
-            acc += F.eval(n) * h[n - start] ** t
-        want.append(acc)
-    assert all(d > 0 for d in dens)
-    assert [Fraction(a, b) for a, b in zip(nums, dens)] == want
+    comps = ((2, 1), (3,))
+    h = {comp: [mhs_eval(n, comp) for n in range(max_n + 1)] for comp in comps}
+    # H(2,1)**t alone, and times H(3)**2
+    for factors in ([((2, 1), t)], [((2, 1), t), ((3,), 2)]):
+        nums, dens = verify._direct_weighted_sum(F, factors, max_n, start)
+        acc, want = Fraction(0), []
+        for n in range(max_n + 1):
+            if n >= start:
+                term = F.eval(n)
+                for comp, e in factors:
+                    term *= h[comp][n - start] ** e
+                acc += term
+            want.append(acc)
+        # over den(F) * lcm(1..n - start)**w, w the weight of the product
+        w = sum(sum(comp) * e for comp, e in factors)
+        assert dens == [
+            F._den * math.lcm(*range(1, n - start + 1)) ** w for n in range(max_n + 1)
+        ]
+        assert [Fraction(a, b) for a, b in zip(nums, dens)] == want
 
 
 def test_reduce_json_is_valid(capsys):

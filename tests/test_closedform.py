@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mhsums
+from mhsums import oracle
 from mhsums.cli import main
 from mhsums.closedform import ClosedForm, _Accumulator
 from mhsums.oracle import _lcm_upto, mhs_eval
@@ -214,9 +215,51 @@ def test_threads_fill_the_same_scaled_tables():
     assert bad == []
 
 
+# lcm(1..m) and r_m = lcm(1..m) / lcm(1..m-1) for m <= 5000, with r_0 = 1
+RUNNING = list(itertools.accumulate(range(1, 5001), math.lcm, initial=1))
+STEPS = [1] + [b // a for a, b in zip(RUNNING, RUNNING[1:])]
+
+
 def test_lcm_upto_is_the_running_lcm():
-    running = list(itertools.accumulate(range(1, 400), math.lcm, initial=1))
-    assert [_lcm_upto(n) for n in range(400)] == running
+    assert [_lcm_upto(n) for n in range(400)] == RUNNING[:400]
+    mhsums.clear_caches()
+    assert oracle._steps_upto(5000)[:5001] == STEPS
+    # out of order, across the sieve's growth: what is stored never changes
+    mhsums.clear_caches()
+    for n in (1000, 3, 257, 4097):
+        steps = oracle._steps_upto(n)
+        assert steps[: n + 1] == STEPS[: n + 1], n
+        assert _lcm_upto(n) == RUNNING[n], n
+    assert steps == STEPS[: len(steps)] and steps is oracle._steps_upto(0)
+
+
+def test_threads_grow_one_sieve():
+    mhsums.clear_caches()
+    bad = []
+    stops = (range(0, 5001, 3), range(1, 5001, 5), range(2, 5001, 7))
+    barrier = threading.Barrier(len(stops))
+
+    def grow(ns):
+        barrier.wait()
+        for n in ns:
+            if oracle._steps_upto(n)[: n + 1] != STEPS[: n + 1]:
+                bad.append(("steps", n))
+            if _lcm_upto(n) != RUNNING[n]:
+                bad.append(("lcm", n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-growth
+    try:
+        threads = [threading.Thread(target=grow, args=(ns,)) for ns in stops]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert bad == []
+    assert oracle._steps_upto(5000)[:5001] == STEPS
 
 
 def test_arithmetic():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mhsums
+from mhsums import oracle
 from mhsums.bernoulli import _SHARED
 from mhsums.oracle import _cache, _lcm_upto, mhs_eval
 from mhsums.polynomial import Polynomial
@@ -151,9 +152,11 @@ def test_clear_caches_empties_every_memo():
     )
     assert set(memos) == set(mhsums._MEMOS)
     assert all(memo.cache_info().currsize for memo in memos) and _cache
+    assert len(oracle._steps) > 30
     mhsums.clear_caches()
     assert [memo.cache_info().currsize for memo in memos] == [0] * 7
     assert _cache == {}
+    assert oracle._steps == [1, 1]
     assert _SHARED._minus == [1]
     assert results() == before
     assert "clear_caches" in mhsums.__all__
