@@ -373,9 +373,9 @@ def _table_cost(p_max: int, weight_max: int, n: int) -> float:
     return cost
 
 
-def _check_walk_cost(cost: float, flags: str) -> None:
-    if cost > MAX_WALK_COST:
-        raise ValueError(f"{flags} have an estimated cost above {MAX_WALK_COST}")
+def _check_cost(cost: float, limit: int, flags: str) -> None:
+    if cost > limit:
+        raise ValueError(f"{flags} have an estimated cost above {limit}")
 
 
 def _parse_factors(text: str) -> "list[tuple[int, int]]":
@@ -484,7 +484,7 @@ def _cmd_reduce(args) -> int:
     comp = _parse_comp(args.comp)
     if args.method in ("theorem", "both") and not comp:
         raise ValueError("--method theorem needs a nonempty composition")
-    _check_walk_cost(_walk_cost(args.power, comp), "-p and --comp")
+    _check_cost(_walk_cost(args.power, comp), MAX_WALK_COST, "-p and --comp")
     primary = (
         reduce(args.power, comp)
         if args.method != "theorem"
@@ -504,7 +504,7 @@ def _cmd_sum(args) -> int:
     if args.power is not None:
         _check_flag("--power", args.power, MAX_POWER)
         cost = _walks_cost(F.degree, args.power, args.power)
-        _check_walk_cost(cost, "--poly and --power")
+        _check_cost(cost, MAX_WALK_COST, "--poly and --power")
         closed = (
             sum_power_shifted(F, args.power)
             if args.shifted
@@ -524,7 +524,7 @@ def _cmd_sum(args) -> int:
         depth = sum(mult for _, mult in factors)
         unit = math.gcd(*orders)
         cost = _walks_cost(F.degree, weight, depth, min(orders), unit)
-        _check_walk_cost(cost, "--poly and --factors")
+        _check_cost(cost, MAX_WALK_COST, "--poly and --factors")
         closed = sum_product(F, factors)
     print(closed.render(args.format))
     return 0
@@ -533,15 +533,12 @@ def _cmd_sum(args) -> int:
 def _cmd_eval(args) -> int:
     _check_flag("--n", args.n, MAX_EVAL_N)
     comp = _parse_comp(args.comp)
-    if _eval_cost(args.n, comp) > MAX_EVAL_COST:
-        raise ValueError(f"--n and --comp have an estimated cost above {MAX_EVAL_COST}")
-    num, den = _pair(args.n, comp)  # in lowest terms, without a Fraction
+    _check_cost(_eval_cost(args.n, comp), MAX_EVAL_COST, "--n and --comp")
+    num, den = _pair(args.n, comp)  # in lowest terms, never negative
     if args.format == "json":
         print(json.dumps({"value": [num, den]}))
-    elif den == 1:  # a constant polynomial, never negative
-        print(_render(1, (num,), "n", args.format))
-    else:
-        print(_FORMATS[args.format][0] % (num, den))
+    else:  # a constant polynomial
+        print(_render(den, (num,), "n", args.format))
     return 0
 
 
@@ -549,7 +546,7 @@ def _cmd_check(args) -> int:
     _check_flag("--power", args.power, MAX_POWER)
     F = parse_poly(args.poly)
     cost = _walks_cost(F.degree, args.power, args.power)
-    _check_walk_cost(cost, "--poly and --power")
+    _check_cost(cost, MAX_WALK_COST, "--poly and --power")
     report = structure_check(F, args.power)
     terms = ", ".join([term_json(c, p) for c, p in report.offending_terms])
     passes = "true" if report.passes else "false"
@@ -570,9 +567,8 @@ def _cmd_table(args) -> int:
     _check_flag("--p-max", args.p_max, MAX_DEGREE)
     _check_flag("--weight-max", args.weight_max, MAX_TABLE_WEIGHT)
     _check_flag("--n", args.n, MAX_TABLE_N)
-    if _table_cost(args.p_max, args.weight_max, args.n) > MAX_TABLE_COST:
-        flags = "--p-max, --weight-max and --n"
-        raise ValueError(f"{flags} have an estimated cost above {MAX_TABLE_COST}")
+    cost = _table_cost(args.p_max, args.weight_max, args.n)
+    _check_cost(cost, MAX_TABLE_COST, "--p-max, --weight-max and --n")
     table = run_table(args.p_max, args.weight_max, args.n)
     print(table, end="")
     return 1 if ",false\n" in table else 0  # the match column is the last

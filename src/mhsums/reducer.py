@@ -11,11 +11,13 @@ S = s_1 x + s_2 x**2 + ... the power sum of v's weight G,
 
     sum G(m) X_v(m-1) = S(n) X_v(n) + sum_edges factor * sum S(m) m**-J X_w(m-1).
 
-The part sum_{i>=J} s_i m**(i-J) of S(m) m**-J joins w's weight, and each
-tail s_i m**-(J-i), 0 < i < J, sums to s_i H_n(J-i, c) for every
-composition c of combs[w].  The states come top first and the step is
-linear in the weight, so all paths into a state merge into one weight and
-one power sum; no coefficient degree exceeds deg(G) + 1.  For ``reduce``
+So S(m) m**-J joins w's weight, a Laurent polynomial in m kept as one row
+of ints over one denominator: the weight times m**K, with K the largest J
+of any edge.  At w, the row's entries from K on are summed by parts again,
+and each entry c m**-r below them, a tail, sums to c H_n(r, c') for every
+composition c' of combs[w].  The states come top first and the step is
+linear in the weight, so all paths into a state merge into one row and one
+power sum; no coefficient degree exceeds deg(G) + 1.  For ``reduce``
 the states are the suffixes comp[i:], each its own combination, with one
 edge from (k, c) to c: factor -1 and J = k.
 
@@ -55,8 +57,8 @@ reads B_0..B_h once, as ints over their lcm (``_bernoulli_ints``), which
 ``Polynomial`` as they are; ``reduce_direct`` adds its states to the
 accumulator as ints.  The power sums of the summation by parts
 (``_power_sum``) take and return ints over a denominator, adding
-Faulhaber's rows over their lcm; the walk hands them to the accumulator,
-and their slices to the lower states as weights and tails, as they are.
+Faulhaber's rows over their lcm; the walk hands them to the accumulator as
+they are, and adds them, shifted, into the lower states' rows.
 """
 
 from __future__ import annotations
@@ -187,7 +189,7 @@ def _reduce(p: int, comp: "tuple[int, ...]") -> ClosedForm:
     combs = {s: {s: 1} for s in states}
     edges = lambda s: ((s[1:], -1, s[0]),) if s else ()
     out = _Accumulator()
-    _by_parts(out, Polynomial.monomial(p), states, combs, edges)
+    _by_parts(out, Polynomial.monomial(p), states, combs, edges, max(comp, default=0))
     return out.freeze()
 
 
@@ -210,35 +212,29 @@ def _power_sum(G: "list[int]", den: int) -> "tuple[list[int], int]":
     return total, den // g
 
 
-def _by_parts(out: _Accumulator, weight: Polynomial, states, combs, edges) -> None:
+def _by_parts(out: _Accumulator, weight: Polynomial, states, combs, edges, K) -> None:
     """Add sum_{m=1..n} G(m) * X(m-1) to ``out``, for G = ``weight`` and X =
-    ``combs[states[0]]``, by the summation by parts of the module docstring."""
-    # state -> [den, ints]: the polynomial part of its weight, ascending, and
-    # its tails, where entry r is the coefficient of m**-r; both over den
-    polys = {states[0]: [weight._den, weight._ints]}
-    tails = {}
+    ``combs[states[0]]``, by the summation by parts of the module docstring.
+    ``K`` is the largest J of any edge, so each state's weight times m**K
+    has no negative power of m."""
+    # state -> [den, ints]: its weight times m**K, ascending over den, so
+    # entry i is the coefficient of m**(i - K); those below K are its tails
+    rows = {states[0]: [weight._den, [0] * K + list(weight._ints)]}
     for v in states:
         comb = combs[v]
-        tden, row = tails.pop(v, (1, ()))
-        for r, c in enumerate(row):
+        den, G = rows.pop(v, (1, ()))
+        for i, c in enumerate(G[:K]):
             if c:
                 for comp, cc in comb.items():
-                    out.add_ints((r,) + comp, (c,), tden, cc)
-        den, G = polys.pop(v, (1, ()))
-        if not any(G):
+                    out.add_ints((K - i,) + comp, (c,), den, cc)
+        if not any(G[K:]):
             continue
-        S, den = _power_sum(G, den)
+        S, den = _power_sum(G[K:], den)
         for comp, cc in comb.items():
             out.add_ints(comp, S, den, cc)
-        # each lower state w takes factor * S(m) * m**-J: the polynomial
-        # part as weight, the negative powers as tails
+        # each lower state w takes factor * S(m) * m**-J into its row
         for w, factor, J in edges(v):
-            _muladd_over(polys.setdefault(w, [den, []]), S[J:], den, factor)
-            if J > 1:
-                lower = [0] * J
-                for i in range(1, min(J, len(S))):
-                    lower[J - i] = S[i]
-                _muladd_over(tails.setdefault(w, [den, []]), lower, den, factor)
+            _muladd_over(rows.setdefault(w, [den, []]), [0] * (K - J) + S, den, factor)
 
 
 def reduce_direct(p: int, comp: "tuple[int, ...]") -> ClosedForm:

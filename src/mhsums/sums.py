@@ -130,7 +130,8 @@ def _levels(out: _Accumulator, weight: Polynomial, powers) -> None:
                 J = sum(k * (a - b) for k, a, b in zip(orders, v, w))
                 yield w, -math.prod(map(math.comb, v, w)), J
 
-    _by_parts(out, weight, states, combs, edges)
+    K = sum(k * e for k, e in powers)  # the J of the edge from the top to 0
+    _by_parts(out, weight, states, combs, edges, K)
 
 
 # --------------------------------------------------------------- structured

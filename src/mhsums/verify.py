@@ -232,6 +232,8 @@ def run_verify(suite: str, max_n: int, echo=print) -> int:
     """Run one suite; print a line per identity; return a process exit code."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    if not isinstance(max_n, int) or max_n < 0:  # as the oracle refuses it
+        raise ValueError("upper limit must be a nonnegative integer")
     checks = []
     if suite in ("reduce", "all"):
         checks += reduce_suite_checks(max_n)

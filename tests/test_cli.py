@@ -689,6 +689,10 @@ def test_eval_formats(capsys):
     for fmt, want in (("text", "0"), ("latex", "0"), ("json", '{"value": [0, 1]}')):
         argv = ["eval", "--n", "0", "--comp", "2", "--format", fmt]
         assert run_cli(argv, capsys) == (0, want + "\n", "")
+    # a nonzero integer value, in every format
+    for fmt, want in (("text", "1"), ("latex", "1"), ("json", '{"value": [1, 1]}')):
+        argv = ["eval", "--n", "1", "--comp", "1", "--format", fmt]
+        assert run_cli(argv, capsys) == (0, want + "\n", "")
 
 
 @pytest.mark.skipif(
@@ -763,6 +767,15 @@ def test_verify_zero_range_warns(capsys):
     code, out, _ = run_cli(["verify", "--suite", "sums", "--max-n", "0"], capsys)
     assert code == 0
     assert "warning" in out.lower()
+
+
+@pytest.mark.parametrize("suite", ["reduce", "sums", "all"])
+@pytest.mark.parametrize("max_n", [-1, 2.5])
+def test_verify_refuses_a_bad_range_up_front(suite, max_n):
+    lines = []
+    with pytest.raises(ValueError, match="^upper limit must be a nonnegative integer$"):
+        verify.run_verify(suite, max_n, echo=lines.append)
+    assert lines == []
 
 
 def test_verify_small_run(capsys):

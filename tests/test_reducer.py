@@ -539,7 +539,7 @@ def test_power_sum_matches_faulhaber_rows(G):
     weight = Polynomial(G)
     S, sden = _power_sum(weight._ints, weight._den)
     assert [Fraction(c, sden) for c in S] == reference
-    # _by_parts reads len(S), S[i] and S[J:]
+    # _by_parts shifts S, entry by entry, into each lower state's row
     assert len(S) == len(reference)
     assert [bool(c) for c in S] == [bool(c) for c in reference]
     # reduced by one gcd: numerators and denominator are coprime

@@ -93,7 +93,7 @@ def by_parts_chains(comb, F):
         states = [comp[i:] for i in range(len(comp) + 1)]
         combs = {s: {s: 1} for s in states}
         edges = lambda s: ((s[1:], -1, s[0]),) if s else ()
-        _by_parts(out, c * F, states, combs, edges)
+        _by_parts(out, c * F, states, combs, edges, max(comp, default=0))
     return out.freeze()
 
 
