@@ -103,15 +103,15 @@ def _steps_upto(n: int) -> "list[int]":
 
 
 def is_proper(comp: "tuple[int, ...]") -> bool:
-    """True when every entry is a positive integer (the empty composition is
-    proper)."""
-    return all(isinstance(k, int) and k >= 1 for k in comp)
+    """True when every entry is a positive int, and not a bool (the empty
+    composition is proper)."""
+    return all(type(k) is int and k >= 1 for k in comp)
 
 
 def check_extended(comp: "tuple[int, ...]") -> None:
     """Validate a composition whose first entry may be any integer but whose
     remaining entries must be positive."""
-    if not all(isinstance(k, int) for k in comp):
+    if not all(type(k) is int for k in comp):
         raise ValueError("not a supported extended shape: entries must be integers")
     if any(k < 1 for k in comp[1:]):
         raise ValueError(
@@ -210,6 +210,6 @@ def mhs_eval(n: int, comp: "tuple[int, ...]") -> Fraction:
 
 def harmonic(n: int, order: int = 1) -> Fraction:
     """The generalized harmonic number H_n of the given positive order."""
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise ValueError("harmonic order must be a positive integer")
     return mhs_eval(n, (order,))

@@ -4,9 +4,9 @@ The quantity handled here is sum_{m=1..n} G(m) * X(m-1) for a polynomial
 weight G and a combination X of multiple harmonic sums: ``reduce`` takes
 G = m**p and X = H(k_1, ..., k_r), the extended sum with leading index -p,
 and ``mhsums.sums`` powers and products of depth-one sums.  All of them run
-one summation by parts, ``_by_parts``, over states v, each standing for a
-combination combs[v].  An edge (w, factor, J) from v says that
-X_v(m) - X_v(m-1) holds -factor * m**-J * X_w(m-1).  With
+one summation by parts, ``_by_parts``, over states v, each a tuple of ints
+standing for a combination X_v of harmonic sums.  An edge (w, factor, J)
+from v says that X_v(m) - X_v(m-1) holds -factor * m**-J * X_w(m-1).  With
 S = s_1 x + s_2 x**2 + ... the power sum of v's weight G,
 
     sum G(m) X_v(m-1) = S(n) X_v(n) + sum_edges factor * sum S(m) m**-J X_w(m-1).
@@ -14,12 +14,13 @@ S = s_1 x + s_2 x**2 + ... the power sum of v's weight G,
 So S(m) m**-J joins w's weight, a Laurent polynomial in m kept as one row
 of ints over one denominator: the weight times m**K, with K the largest J
 of any edge.  At w, the row's entries from K on are summed by parts again,
-and each entry c m**-r below them, a tail, sums to c H_n(r, c') for every
-composition c' of combs[w].  The states come top first and the step is
-linear in the weight, so all paths into a state merge into one row and one
-power sum; no coefficient degree exceeds deg(G) + 1.  For ``reduce``
-the states are the suffixes comp[i:], each its own combination, with one
-edge from (k, c) to c: factor -1 and J = k.
+and each entry c m**-r below them, a tail, sums to c times
+sum_{m<=n} m**-r X_w(m-1).  So the walk writes two keys per state: S under
+v, and each tail c under (r,) + v.  The states come top first and the step
+is linear in the weight, so all paths into a state merge into one row and
+one power sum; no coefficient degree exceeds deg(G) + 1.  For ``reduce``
+the states are the suffixes comp[i:], with one edge from (k, c) to c:
+factor -1 and J = k; X_v is H(v), so both keys are compositions.
 
 ``reduce_direct`` computes the same closed form in a single pass from the
 fully unrolled three-block summation formula and exists purely as an
@@ -55,10 +56,8 @@ The chain's states are int numerators over a shared denominator; each step
 reads B_0..B_h once, as ints over their lcm (``_bernoulli_ints``), which
 ``faulhaber`` reads too.  ``c_poly`` and ``faulhaber`` hand their rows to
 ``Polynomial`` as they are; ``reduce_direct`` adds its states to the
-accumulator as ints.  The power sums of the summation by parts
-(``_power_sum``) take and return ints over a denominator, adding
-Faulhaber's rows over their lcm; the walk hands them to the accumulator as
-they are, and adds them, shifted, into the lower states' rows.
+accumulator as ints, and the walk its power sums (``_power_sum``), which
+add Faulhaber's rows over their lcm.
 """
 
 from __future__ import annotations
@@ -186,10 +185,9 @@ def reduce(p: int, comp: "tuple[int, ...]" = ()) -> ClosedForm:
 @lru_cache(maxsize=None)
 def _reduce(p: int, comp: "tuple[int, ...]") -> ClosedForm:
     states = [comp[i:] for i in range(len(comp) + 1)]
-    combs = {s: {s: 1} for s in states}
     edges = lambda s: ((s[1:], -1, s[0]),) if s else ()
     out = _Accumulator()
-    _by_parts(out, Polynomial.monomial(p), states, combs, edges, max(comp, default=0))
+    _by_parts(out, Polynomial.monomial(p), states, edges, max(comp, default=0))
     return out.freeze()
 
 
@@ -212,27 +210,22 @@ def _power_sum(G: "list[int]", den: int) -> "tuple[list[int], int]":
     return total, den // g
 
 
-def _by_parts(out: _Accumulator, weight: Polynomial, states, combs, edges, K) -> None:
-    """Add sum_{m=1..n} G(m) * X(m-1) to ``out``, for G = ``weight`` and X =
-    ``combs[states[0]]``, by the summation by parts of the module docstring.
-    ``K`` is the largest J of any edge, so each state's weight times m**K
-    has no negative power of m."""
+def _by_parts(out, weight: Polynomial, states, edges, K) -> None:
+    """Add sum_{m=1..n} G(m) * X(m-1) to ``out`` for G = ``weight`` and X of
+    ``states[0]``: S under each v, each tail c m**-r under (r,) + v.  ``K``,
+    the largest J of any edge, keeps every weight times m**K a polynomial."""
     # state -> [den, ints]: its weight times m**K, ascending over den, so
     # entry i is the coefficient of m**(i - K); those below K are its tails
     rows = {states[0]: [weight._den, [0] * K + list(weight._ints)]}
     for v in states:
-        comb = combs[v]
         den, G = rows.pop(v, (1, ()))
         for i, c in enumerate(G[:K]):
             if c:
-                for comp, cc in comb.items():
-                    out.add_ints((K - i,) + comp, (c,), den, cc)
+                out.add_ints((K - i,) + v, (c,), den)
         if not any(G[K:]):
             continue
         S, den = _power_sum(G[K:], den)
-        for comp, cc in comb.items():
-            out.add_ints(comp, S, den, cc)
-        # each lower state w takes factor * S(m) * m**-J into its row
+        out.add_ints(v, S, den)
         for w, factor, J in edges(v):
             _muladd_over(rows.setdefault(w, [den, []]), [0] * (K - J) + S, den, factor)
 

@@ -95,7 +95,7 @@ def _expand_power(k: int, t: int):
 
 def expand_power(k: int, t: int) -> "dict[tuple[int, ...], Fraction]":
     """Expansion of H_n(k)**t as a combination of basis compositions."""
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError("the base order must be a positive integer")
     if not isinstance(t, int) or t < 0:
         raise ValueError("the power must be a nonnegative integer")

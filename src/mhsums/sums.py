@@ -4,17 +4,20 @@
 by the reducer's summation by parts (``reducer._by_parts``) on the power
 itself; ``sum_product`` does the same over products of depth-one sums,
 e.g. H_{m-1} * H_{m-1}(2).  A state of ``_levels`` is the vector v of
-multiplicities per distinct order k_i: the product of the H(k_i)**v_i,
-expanded by the stuffle (``expand_power``, ``product_combinations``).
+multiplicities per distinct order k_i: the product of the H(k_i)**v_i.
 Since H_m(k) = H_{m-1}(k) + m**-k, that product at m less its value at
 m - 1 sums, over every w < v, prod_i C(v_i, w_i) m**-J times the product
 for w at m - 1, with J = sum_i k_i (v_i - w_i).  So the edge from v to w
 carries -prod_i C(v_i, w_i) and J.  The states run in descending
 lexicographic order, one power sum each: t + 1 for H**t instead of one
-walk per composition of the expanded power.
+walk per composition of the expanded power.  The walk writes v's power
+sum under the key v and its tails c m**-r under (r,) + v.  One expander,
+``_Products``, flattens every H_n-power product here (the levels,
+``structured_to_closed``, and the F(n) H_n**t terms of ``sum_power_shifted``
+and ``structure_check``): it puts a key's head before each composition of
+its state's product, which the stuffle expands once per state.
 ``sum_power_shifted`` handles the H_m (unshifted-argument) variant via
-sum_{m=0..n} F(m) H_m**t = F(n) H_n**t + sum_{m=1..n} F(m-1) H_{m-1}**t;
-it and ``structure_check`` add their extra terms to the same accumulator.
+sum_{m=0..n} F(m) H_m**t = F(n) H_n**t + sum_{m=1..n} F(m-1) H_{m-1}**t.
 
 ``structured_form`` produces the presentations with explicit H_n-power
 blocks (squares, cubes, the H*H(2) product, and fourth powers with a general
@@ -74,15 +77,9 @@ def sum_power_shifted(F: Polynomial, t: int) -> ClosedForm:
     """Closed form of sum_{m=0..n} F(m) * H_m**t."""
     _check_weight(F)
     out = _Accumulator()
-    _add_combination(out, expand_power(1, t), F)
     _power_levels(out, F.shift(-1), t)
+    _Products(out, (1,)).add_ints((t,), F._ints, F._den)
     return out.freeze()
-
-
-def _add_combination(out: _Accumulator, comb, P: Polynomial) -> None:
-    """Add P(n) times the combination ``comb`` of H_n sums to ``out``."""
-    for comp, c in comb.items():
-        out.add_ints(comp, P._ints, P._den, c)
 
 
 def sum_product(F: Polynomial, factors: "list[tuple[int, int]]") -> ClosedForm:
@@ -93,7 +90,7 @@ def sum_product(F: Polynomial, factors: "list[tuple[int, int]]") -> ClosedForm:
     _check_weight(F)
     powers: "dict[int, int]" = {}
     for order, mult in factors:
-        if not isinstance(order, int) or order < 1:
+        if type(order) is not int or order < 1:
             raise ValueError("factor orders must be positive integers")
         if not isinstance(mult, int) or mult < 1:
             raise ValueError("factor multiplicities must be positive integers")
@@ -104,25 +101,11 @@ def sum_product(F: Polynomial, factors: "list[tuple[int, int]]") -> ClosedForm:
 
 
 def _levels(out: _Accumulator, weight: Polynomial, powers) -> None:
-    """Add sum_{m=1..n} G(m) * prod_i H_{m-1}(k_i)**e_i to ``out``, for the
-    polynomial G = ``weight`` and ``powers`` the pairs (k_i, e_i) of
-    distinct orders, over the states and edges of the module docstring."""
-    if not weight:
-        return
+    """Add sum_{m=1..n} G(m) * prod_i H_{m-1}(k_i)**e_i to ``out``, for G =
+    ``weight`` and ``powers`` the pairs (k_i, e_i) of distinct orders."""
     orders = [k for k, _ in powers]
     # descending lexicographic order: every state comes before those below it
     states = list(itertools.product(*(range(e, -1, -1) for _, e in powers)))
-    combs = {}  # state -> its product of H_{m-1} powers, as a combination
-    for v in reversed(states):
-        nonzero = [i for i, e in enumerate(v) if e]
-        if not nonzero:
-            combs[v] = {(): Fraction(1)}
-            continue
-        i = nonzero[-1]
-        power = expand_power(orders[i], v[i])
-        if len(nonzero) > 1:  # the state without its last order, times this
-            power = product_combinations(combs[v[:i] + (0,) * (len(v) - i)], power)
-        combs[v] = power
 
     def edges(v):
         for w in itertools.product(*(range(e + 1) for e in v)):
@@ -131,7 +114,31 @@ def _levels(out: _Accumulator, weight: Polynomial, powers) -> None:
                 yield w, -math.prod(map(math.comb, v, w)), J
 
     K = sum(k * e for k, e in powers)  # the J of the edge from the top to 0
-    _by_parts(out, weight, states, combs, edges, K)
+    _by_parts(_Products(out, orders), weight, states, edges, K)
+
+
+class _Products:
+    """``out`` seen through the stuffle: the key head + v, for v as long as
+    ``orders``, stands for head + c for each c of prod_i H(orders[i])**v_i."""
+
+    def __init__(self, out: _Accumulator, orders):
+        self._out, self._orders = out, orders
+        self._combs = {(0,) * len(orders): {(): Fraction(1)}}  # state -> product
+
+    def add_ints(self, key, nums, den: int) -> None:
+        cut = len(key) - len(self._orders)
+        for comp, c in self._comb(key[cut:]).items():
+            self._out.add_ints(key[:cut] + comp, nums, den, c)
+
+    def _comb(self, v):
+        if v not in self._combs:
+            i = max(i for i, e in enumerate(v) if e)  # v's last order
+            comb = expand_power(self._orders[i], v[i])
+            rest = v[:i] + (0,) * (len(v) - i)
+            if any(rest):  # the state without its last order, times this
+                comb = product_combinations(self._comb(rest), comb)
+            self._combs[v] = comb
+        return self._combs[v]
 
 
 # --------------------------------------------------------------- structured
@@ -306,14 +313,13 @@ def _hn4(F: Polynomial) -> StructuredForm:
 
 def structured_to_closed(form: StructuredForm) -> ClosedForm:
     """Flatten a structured presentation into the basis of compositions."""
-    lead = expand_power(1, form.power)
-    for order in form.extra_orders:
-        lead = product_combinations(lead, {(order,): Fraction(1)})
     out = _Accumulator()
-    _add_combination(out, lead, form.leading)
+    blocks = _Products(out, (1,) + form.extra_orders)
+    ones = (1,) * len(form.extra_orders)
+    blocks.add_ints((form.power,) + ones, form.leading._ints, form.leading._den)
     for i, qi in enumerate(form.q):
         if qi:
-            _add_combination(out, expand_power(1, i), qi)
+            blocks.add_ints((i,) + (0,) * len(ones), qi._ints, qi._den)
     out.add_form(ClosedForm({(2,): form.c2, (2, 1): form.c21, (3,): form.c3}))
     return out.freeze()
 
@@ -334,7 +340,8 @@ def structure_check(F: Polynomial, t: int) -> StructureReport:
     contains terms of depth below t with coefficient degree <= deg(F) + 1."""
     out = _Accumulator()
     _power_levels(out, F, t)
-    _add_combination(out, expand_power(1, t), -discrete_sum(F))
+    S = -discrete_sum(F)
+    _Products(out, (1,)).add_ints((t,), S._ints, S._den)
     remainder = out.freeze()
     degree_bound = F.degree + 1
     offending = tuple(

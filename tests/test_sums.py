@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 
 from mhsums.bernoulli import bernoulli, umbral_eval
 from mhsums.closedform import ClosedForm, _Accumulator
-from mhsums.oracle import harmonic, mhs_eval
+from mhsums import sums
+from mhsums.oracle import harmonic, is_proper, mhs_eval
 from mhsums.polynomial import Polynomial, _muladd, discrete_sum
 from mhsums.cli import MAX_POWER
-from mhsums.reducer import _by_parts, faulhaber, reduce
-from mhsums.stuffle import expand_power, product_combinations
+from mhsums.reducer import _by_parts, faulhaber, reduce, reduce_direct
+from mhsums.stuffle import expand_power, product_combinations, stuffle
 from mhsums.sums import (
     _levels,
     structure_check,
@@ -91,9 +93,8 @@ def by_parts_chains(comb, F):
     out = _Accumulator()
     for comp, c in comb.items():
         states = [comp[i:] for i in range(len(comp) + 1)]
-        combs = {s: {s: 1} for s in states}
         edges = lambda s: ((s[1:], -1, s[0]),) if s else ()
-        _by_parts(out, c * F, states, combs, edges, max(comp, default=0))
+        _by_parts(out, c * F, states, edges, max(comp, default=0))
     return out.freeze()
 
 
@@ -257,11 +258,32 @@ def test_levels_edge_cases():
     F = 3 * x * x - x / 2 + Fraction(-7, 3)
     assert run_levels(F.coeffs, ((1, 0),)) == ClosedForm({(): discrete_sum(F)})
     assert sum_power(F, 0) == ClosedForm({(): discrete_sum(F)})
+    assert sum_product(F, []) == sum_power(F, 0)  # no orders: the bare power sum
     # the levels add into what the accumulator already holds
     acc = _Accumulator()
     acc.add((1,), Polynomial((1, 2)))
     _levels(acc, F, ((1, 2),))
     assert acc.freeze() == sum_power(F, 2) + ClosedForm({(1,): 1 + 2 * x})
+
+
+def test_walk_writes_the_papers_blocks(monkeypatch):
+    # with the expander replaced by the accumulator itself, the walk's raw
+    # blocks for H**t show: Q_u(n) under (u,) for H_n**u, and a constant
+    # kappa under (r, u) for Z_n(r; u) = sum_{m<=n} H_{m-1}**u / m**r
+    monkeypatch.setattr(sums, "_Products", lambda out, orders: out)
+    dense = Polynomial([Fraction(k % 7 - 3, k % 4 + 1) for k in range(9)])
+    for F in (one, x, 3 * x * x - 5 * x + 2, x ** 5 - x / 3, dense):
+        for t in range(MAX_POWER + 1):
+            acc = _Accumulator()
+            _levels(acc, F, ((1, t),))
+            blocks = dict(acc.freeze().terms)
+            assert blocks[(t,)] == discrete_sum(F)
+            for key, poly in blocks.items():
+                if len(key) == 1:
+                    assert key[0] <= t and poly.degree <= F.degree + 1
+                else:
+                    r, u = key
+                    assert r >= 1 and u <= t - 2 and poly.degree == 0
 
 
 def test_high_powers_against_brute_force():
@@ -279,6 +301,31 @@ def test_sum_validation():
         sum_product(x, [(0, 1)])
     with pytest.raises(ValueError):
         sum_product(x, [(1, 0)])
+
+
+def test_bool_entries_are_refused():
+    # True == 1 with the same hash, so a bool let into a composition would
+    # share the memos' keys with 1 and later render as True
+    refused = (
+        (lambda: reduce(2, (True, 1)), "composition must be proper"),
+        (lambda: reduce_direct(2, (1, True)), "composition must be proper"),
+        (lambda: expand_power(True, 2), "the base order must be"),
+        (lambda: sum_product(x, [(True, 2)]), "factor orders must be"),
+        (lambda: stuffle((True,), (1,)), "proper compositions only"),
+        (lambda: mhs_eval(3, (True, 1)), "entries must be integers"),
+        (lambda: harmonic(3, True), "harmonic order must be"),
+        (lambda: ClosedForm({(True,): one}), "proper compositions"),
+    )
+    for call, message in refused:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert not is_proper((1, True))
+    text = reduce(2, (1, 1)).to_json()
+    comps = [term["composition"] for term in json.loads(text)["terms"]]
+    assert [1, 1] in comps
+    assert all(type(k) is int for comp in comps for k in comp)
+    assert "H(1,1)" in sum_power(x, 2).render()
+    assert sum_product(x, [(1, 2)]) == sum_power(x, 2)
 
 
 # -------------------------------------------------- printed example sums
@@ -348,8 +395,9 @@ def test_shifted_reindexing_identity():
 
 
 def test_structured_square_cube_mixed_match_flat():
-    # p = 10, 20 reach c_poly at high power with up to three subscripts
-    for p in (0, 1, 2, 3, 4, 10, 20):
+    # p = 10, 20 reach c_poly at high power with up to three subscripts;
+    # 30 and 40 are the structured powers the benchmark asks for
+    for p in (0, 1, 2, 3, 4, 10, 20, 30, 40):
         xp = x ** p
         assert structured_to_closed(structured_form("hn2", p)) == sum_power(xp, 2)
         assert structured_to_closed(structured_form("hn3", p)) == sum_power(xp, 3)
