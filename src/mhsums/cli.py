@@ -4,6 +4,10 @@ Exit codes: 0 on success, 1 when a verification or cross-check fails, 2 for
 usage or parse errors.  Every emitter is deterministic: the same invocation
 produces byte-identical output.
 
+A command line that starts with a subcommand is read by its parser alone
+(``build_parser``'s ``commands``); anything else, or left over, goes to the
+full parser, so help, usage errors and exit codes are the full parser's.
+
 Around the algebra, a ``sum`` or ``check`` request parses its weight, checks
 its estimated cost and writes its result.  The weight parser builds literals
 and the variable as int rows, raises monomials to a power in one step
@@ -465,6 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=SUITES, required=True)
     p_verify.add_argument("--max-n", type=int, required=True)
 
+    top.commands = sub.choices  # name -> subparser, read by ``main``
     return top
 
 
@@ -593,12 +598,23 @@ _ACTIONS = {
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first ``main`` call and reused after it:
-    building takes about 20 times as long as parsing one command line."""
+    building takes about 20 times as long as a full parse of one command
+    line, and 30 times as long as its subcommand's parser alone."""
     return build_parser()
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    top = _parser()
+    # a subcommand's own parser reads its arguments as the full parser would
+    # hand them down; anything else, or anything left over, goes to the full
+    # parser, which reports it
+    sub = top.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if sub is None or rest:
+        args = top.parse_args(argv)
     # Exact results can have more digits than the interpreter's int-to-str
     # guard allows (4300 by default).  Lift it for this call only, so that
     # library callers in the same process see no change.

@@ -24,11 +24,15 @@ evaluator keeps each table's values as numerators over L**w and hands out
 a slice of them (``oracle._scaled``); ``_ratios`` takes lcm(1..lo) from
 the oracle (``oracle._lcm_upto``) and each next L as the last one times
 the step r_n of the oracle's sieve (``oracle._steps_upto``).  Over the
-column of n, Horner's scheme gives each coefficient's values as ints,
-their products with the numerators sum per weight into S_w, and the
-weights combine by Horner's scheme in L: the value is the int pair
+column of n, each coefficient of degree d takes its values as ints from
+Horner's scheme at the first d + 1 points and, past them, from forward
+differences: its d-th difference is constant, and each lower difference
+column is one running sum of the next (Knuth, TAOCP vol. 2, 4.6.4).  Their
+products with the numerators sum per weight into S_w, and the weights
+combine by Horner's scheme in L: the value is the int pair
 (sum_w S_w * L**(W - w), L**W * D), W the largest weight, with no gcd, lcm
-or division per term and n.  ``values(max_n)`` and ``eval(n)`` build one
+or division per term and n; the denominators are one running product of
+the sieve's r_n**W.  ``values(max_n)`` and ``eval(n)`` build one
 ``Fraction`` per value from those pairs; ``verify`` compares the pairs
 themselves (``_ratios``) with the direct sums by cross multiplication.
 
@@ -47,11 +51,11 @@ import json
 import math
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Union
 
 from .oracle import _lcm_upto, _scaled, _steps_upto, is_proper
-from .polynomial import _FORMATS, Polynomial, _muladd, _muladd_over
+from .polynomial import _FORMATS, Polynomial, _horner, _muladd, _muladd_over
 from .polynomial import _lowest, _reduced, _render, _row, join_signed
 from .stuffle import composition_key
 
@@ -219,16 +223,11 @@ class ClosedForm:
             return [(0, 1)] * (hi + 1 - lo)
         polys = self._terms.values()
         den = math.lcm(*[poly._den for poly in polys])
-        span = range(lo, hi + 1)
         steps = _steps_upto(hi)[lo + 1 : hi + 1]
         lcms = list(accumulate(steps, mul, initial=_lcm_upto(lo)))
-        sums = {}  # weight -> the column of S_w over span
+        sums = {}  # weight -> the column of S_w over lo..hi
         for comp, poly in self._terms.items():
-            scale, ints = den // poly._den, poly._ints
-            # the coefficient's values over the column, by Horner's scheme
-            col = [ints[-1] * scale] * len(span)
-            for c in reversed(ints[:-1]):
-                col = list(map(add, map(mul, col, span), repeat(c * scale)))
+            col = _column(poly._ints, den // poly._den, lo, hi + 1 - lo)
             col = map(mul, col, _scaled(lo, hi, comp))
             w = sum(comp)
             sums[w] = list(map(add, sums[w], col)) if w in sums else list(col)
@@ -238,7 +237,9 @@ class ClosedForm:
             acc = list(map(mul, acc, lcms))
             if w in sums:
                 acc = list(map(add, acc, sums[w]))
-        return [(a, lcm**top * den) for a, lcm in zip(acc, lcms)]
+        # the denominators L**W * D, one running product of the sieve's r**W
+        dens = accumulate((r**top for r in steps), mul, initial=lcms[0] ** top * den)
+        return list(zip(acc, dens))
 
     # ------------------------------------------------------------- rendering
 
@@ -274,6 +275,22 @@ class ClosedForm:
             ArithmeticError, KeyError, RecursionError, TypeError, ValueError
         ) as exc:
             raise ValueError(f"malformed closed-form JSON: {exc}") from exc
+
+
+def _column(ints, scale: int, lo: int, size: int):
+    """scale * P(n) at n = lo, ..., lo + size - 1, for P of degree d with the
+    ascending int row ``ints``: Horner's scheme at the first d + 1 points,
+    forward differences past them."""
+    d = len(ints) - 1
+    seeds = [_horner(ints, n) * scale for n in range(lo, lo + min(size, d + 1))]
+    if size <= d + 1:
+        return seeds
+    for k in range(1, d + 1):  # seeds[k] becomes the k-th difference at lo
+        seeds[k:] = map(sub, seeds[k:], seeds[k - 1 : -1])
+    col = repeat(seeds.pop(), size - d)  # the d-th difference is constant
+    for seed in reversed(seeds):
+        col = accumulate(col, initial=seed)
+    return col
 
 
 def _json_int(value: object) -> int:

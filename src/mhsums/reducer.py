@@ -44,7 +44,11 @@ polynomial divided by x.
 ``c_poly`` and ``reduce_direct`` run the same factor chain through one
 helper, ``_chain_step``.  Each factor depends on the earlier j's only through
 their sum, so the chain keeps one merged state per partial sum instead of
-listing every j-tuple; the cost is polynomial in p and the depth.
+listing every j-tuple; the cost is polynomial in p and the depth.  Each
+``c_poly`` chain is one step on its parent's, the chain of (a_2, ..., a_{r-1}):
+state s is the parent's memoized coefficient of x**(p + 1 - a_{r-1} - s),
+exact since a step's states up to a budget do not depend on a larger one.
+``c_poly`` builds the prefixes shortest first, so no call recurses deeper.
 ``faulhaber`` builds its factors on its own, and the summation by parts
 behind ``reduce`` reads them from Faulhaber's polynomials; neither uses the
 chain helper, so that the two reduction routes stay independent checks of
@@ -104,6 +108,8 @@ def c_poly(p: int, index: "tuple[int, ...]" = ()) -> Polynomial:
         raise ValueError("subscripts must be nonnegative integers")
     if any(b < a for a, b in zip(index, index[1:])):
         raise ValueError("subscripts must be weakly increasing")
+    for i in range(len(index)):  # the prefixes first: no call recurses deeper
+        _c_poly(p, index[:i])
     return _c_poly(p, index)
 
 
@@ -157,8 +163,12 @@ def _c_poly(p: int, index: "tuple[int, ...]") -> Polynomial:
     subs = (0,) + index
     top = p + 1 - subs[-1]
     states, den = {0: 1}, 1
-    for a in subs:
-        states, den = _chain_step(states, den, p + 1 - a, top - 1)
+    if index:  # the parent's chain, read back from its polynomial
+        parent = _c_poly(p, index[:-1])
+        up, row = p + 1 - subs[-2], parent._ints
+        live = [s for s in range(top) if up - s < len(row) and row[up - s]]
+        states, den = {s: row[up - s] for s in live}, parent._den
+    states, den = _chain_step(states, den, p + 1 - subs[-1], top - 1)
     ints = [0] * (top + 1)
     for s, acc in states.items():
         ints[top - s] = acc

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import eq, mul
 
 from .closedform import ClosedForm
 from .oracle import _pair, _pairs, _scaled, _steps_upto
@@ -98,10 +99,13 @@ def _matches_direct(closed: ClosedForm, direct, max_n: int):
     evaluation range."""
     if max_n > 0:
         nums, dens = direct
-        for n, (num, den) in enumerate(closed._ratios(0, max_n)):
-            if num * dens[n] != nums[n] * den:
-                got, want = Fraction(num, den), Fraction(nums[n], dens[n])
-                return False, f"n={n}: closed {got} != direct {want}"
+        ratios = closed._ratios(0, max_n)
+        got_nums, got_dens = zip(*ratios)
+        same = list(map(eq, map(mul, got_nums, dens), map(mul, nums, got_dens)))
+        if not all(same):
+            n = same.index(False)
+            got, want = Fraction(*ratios[n]), Fraction(nums[n], dens[n])
+            return False, f"n={n}: closed {got} != direct {want}"
     return True, ""
 
 

@@ -531,63 +531,63 @@ def test_sum_deep_nesting_exit_code(capsys):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sum", "--poly", "m^100000", "--power", "0"],
-        ["sum", "--poly", "(m^50)^50", "--power", "1"],
-        ["sum", "--poly", "m^60*m^60", "--power", "1"],
-        ["check", "--poly", "m^100000", "--power", "1"],
-        ["sum", "--poly", "m", "--power", str(MAX_POWER + 1)],
-        ["sum", "--poly", "m", "--power", "100000", "--shifted"],
-        ["check", "--poly", "m", "--power", str(MAX_POWER + 1)],
-        ["sum", "--poly", "m", "--factors", f"1^{MAX_POWER - 1},2^2"],
-        ["sum", "--poly", "((9^100)^100)^100", "--power", "0"],
-        ["sum", "--poly", "(9^100)^100*(9^100)^100", "--power", "0"],
-        ["check", "--poly", "9" * 12100, "--power", "0"],  # 40,196 bits
-        ["reduce", "-p", "100000", "--comp", "1"],
-        ["reduce", "-p", str(MAX_DEGREE + 1)],
-        ["reduce", "-p", "1", "--comp", f"1,{MAX_DEGREE + 1}"],
-        ["eval", "--n", "50", "--comp", "5000000"],
-        ["eval", "--n", "50", f"--comp=-{MAX_DEGREE + 1},1"],
-        ["eval", "--n", "100000000", "--comp", "1"],
-        ["eval", "--n", str(MAX_EVAL_N + 1)],
-        ["bernoulli", "--max", "200000"],
-        ["bernoulli", "--max", str(MAX_BERNOULLI + 1)],
-        # 500 entries used to end in a RecursionError in reduce
-        ["reduce", "-p", "0", "--comp", ",".join(["1"] * 500)],
-        ["reduce", "-p", "1", "--comp", ",".join(["1"] * (MAX_DEPTH + 1))],
-        ["eval", "--n", "3000", "--comp", ",".join(["1"] * 2000)],
-        ["eval", "--n", "5", "--comp", ",".join(["1"] * (MAX_DEPTH + 1))],
-        # inside every single limit, but jointly too costly
-        ["eval", "--n", "3000", "--comp", ",".join(["1"] * MAX_DEPTH)],
-        ["eval", "--n", "20000", "--comp", "1,1"],
-        ["eval", "--n", "10000", "--comp", "1,1"],
-        ["eval", "--n", "20000", "--comp", "100"],
-        ["eval", "--n", "2000", "--comp", "1,100"],
-        # walks jointly too costly: 25 s, 9 s, 27 s, not run, 10 s and 67 s;
-        # the last one spends 24 s in the stuffle product alone
-        ["reduce", "-p", "100", "--comp", ",".join(["1"] * MAX_DEPTH)],
-        ["reduce", "-p", "100", "--comp", ",".join(["1"] * 50), "--method", "both"],
-        ["sum", "--poly", "m^100", "--power", "10"],
-        ["sum", "--poly", "m^100", "--power", str(MAX_POWER)],
-        ["check", "--poly", "m^30", "--power", str(MAX_POWER)],
-        ["sum", "--poly", "m^100", "--factors", "1^4,2^4"],
-        ["sum", "--poly", "1", "--factors", "1^4,2^4,3^4"],
-        # the estimate summed over prefixes of negative weight for 16 s
-        ["sum", "--poly", "m^3", "--factors=-100000^6,100000^6"],
-        ["verify", "--suite", "reduce", "--max-n", "2000"],
-        ["verify", "--suite", "all", "--max-n", str(MAX_VERIFY_N + 1)],
-        ["table", "--p-max", str(MAX_DEGREE + 1), "--weight-max", "1", "--n", "1"],
-        ["table", "--p-max", "1", "--weight-max", f"{MAX_TABLE_WEIGHT + 1}", "--n", "1"],
-        ["table", "--p-max", "1", "--weight-max", "1", "--n", str(MAX_TABLE_N + 1)],
-        # table jointly too costly: 13 s, still running after 100 s, and 17 s,
-        # of which the walks alone would be estimated at about 3 s
-        ["table", "--p-max", "10", "--weight-max", "10", "--n", "20"],
-        ["table", "--p-max", "100", "--weight-max", "6", "--n", "20"],
-        ["table", "--p-max", "25", "--weight-max", "8", "--n", "1"],
-    ],
-)
+LIMIT_INPUTS = [
+    ["sum", "--poly", "m^100000", "--power", "0"],
+    ["sum", "--poly", "(m^50)^50", "--power", "1"],
+    ["sum", "--poly", "m^60*m^60", "--power", "1"],
+    ["check", "--poly", "m^100000", "--power", "1"],
+    ["sum", "--poly", "m", "--power", str(MAX_POWER + 1)],
+    ["sum", "--poly", "m", "--power", "100000", "--shifted"],
+    ["check", "--poly", "m", "--power", str(MAX_POWER + 1)],
+    ["sum", "--poly", "m", "--factors", f"1^{MAX_POWER - 1},2^2"],
+    ["sum", "--poly", "((9^100)^100)^100", "--power", "0"],
+    ["sum", "--poly", "(9^100)^100*(9^100)^100", "--power", "0"],
+    ["check", "--poly", "9" * 12100, "--power", "0"],  # 40,196 bits
+    ["reduce", "-p", "100000", "--comp", "1"],
+    ["reduce", "-p", str(MAX_DEGREE + 1)],
+    ["reduce", "-p", "1", "--comp", f"1,{MAX_DEGREE + 1}"],
+    ["eval", "--n", "50", "--comp", "5000000"],
+    ["eval", "--n", "50", f"--comp=-{MAX_DEGREE + 1},1"],
+    ["eval", "--n", "100000000", "--comp", "1"],
+    ["eval", "--n", str(MAX_EVAL_N + 1)],
+    ["bernoulli", "--max", "200000"],
+    ["bernoulli", "--max", str(MAX_BERNOULLI + 1)],
+    # 500 entries used to end in a RecursionError in reduce
+    ["reduce", "-p", "0", "--comp", ",".join(["1"] * 500)],
+    ["reduce", "-p", "1", "--comp", ",".join(["1"] * (MAX_DEPTH + 1))],
+    ["eval", "--n", "3000", "--comp", ",".join(["1"] * 2000)],
+    ["eval", "--n", "5", "--comp", ",".join(["1"] * (MAX_DEPTH + 1))],
+    # inside every single limit, but jointly too costly
+    ["eval", "--n", "3000", "--comp", ",".join(["1"] * MAX_DEPTH)],
+    ["eval", "--n", "20000", "--comp", "1,1"],
+    ["eval", "--n", "10000", "--comp", "1,1"],
+    ["eval", "--n", "20000", "--comp", "100"],
+    ["eval", "--n", "2000", "--comp", "1,100"],
+    # walks jointly too costly: 25 s, 9 s, 27 s, not run, 10 s and 67 s;
+    # the last one spends 24 s in the stuffle product alone
+    ["reduce", "-p", "100", "--comp", ",".join(["1"] * MAX_DEPTH)],
+    ["reduce", "-p", "100", "--comp", ",".join(["1"] * 50), "--method", "both"],
+    ["sum", "--poly", "m^100", "--power", "10"],
+    ["sum", "--poly", "m^100", "--power", str(MAX_POWER)],
+    ["check", "--poly", "m^30", "--power", str(MAX_POWER)],
+    ["sum", "--poly", "m^100", "--factors", "1^4,2^4"],
+    ["sum", "--poly", "1", "--factors", "1^4,2^4,3^4"],
+    # the estimate summed over prefixes of negative weight for 16 s
+    ["sum", "--poly", "m^3", "--factors=-100000^6,100000^6"],
+    ["verify", "--suite", "reduce", "--max-n", "2000"],
+    ["verify", "--suite", "all", "--max-n", str(MAX_VERIFY_N + 1)],
+    ["table", "--p-max", str(MAX_DEGREE + 1), "--weight-max", "1", "--n", "1"],
+    ["table", "--p-max", "1", "--weight-max", f"{MAX_TABLE_WEIGHT + 1}", "--n", "1"],
+    ["table", "--p-max", "1", "--weight-max", "1", "--n", str(MAX_TABLE_N + 1)],
+    # table jointly too costly: 13 s, still running after 100 s, and 17 s,
+    # of which the walks alone would be estimated at about 3 s
+    ["table", "--p-max", "10", "--weight-max", "10", "--n", "20"],
+    ["table", "--p-max", "100", "--weight-max", "6", "--n", "20"],
+    ["table", "--p-max", "25", "--weight-max", "8", "--n", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", LIMIT_INPUTS)
 def test_input_limits_exit_fast(argv, capsys):
     start = time.perf_counter()
     code, out, err = run_cli(argv, capsys)
@@ -849,3 +849,61 @@ def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
     probe = "import mhsums.cli as c; print(c._parser.cache_info().currsize)"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.stdout == "0\n"
+
+
+# main hands a command line to its subcommand's parser alone; each of these
+# must read exactly as through the full parser: help, usage errors, results
+COMMANDS = tuple(cli._ACTIONS)
+DISPATCH_INPUTS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["bogus", "-p", "1"],
+    ["-p", "1", "reduce"],
+    *([command, "-h"] for command in COMMANDS),
+    *([command] for command in COMMANDS),
+    ["reduce", "-p", "1", "bogus"],  # left over: the top-level usage reports it
+    ["reduce", "-p", "1", "--comp", "1", "extra", "--more"],
+    ["reduce", "-p", "1", "--format", "xml"],
+    ["reduce", "-p", "x"],
+    ["reduce", "-p", "1", "--", "--comp"],
+    ["reduce", "-p", "2", "--co", "2,1", "--method", "both"],
+    ["reduce", "-p", "2", "--comp=1", "--format", "latex"],
+    ["sum", "--poly", "m", "--power", "2", "--factors", "1"],
+    ["sum", "--poly", "3*m^2+m", "--power", "2", "--format", "json"],
+    ["check", "--poly", "m^2", "--power", "3"],
+    ["eval", "--n", "7", "--comp", "2,1"],
+    ["verify", "--suite", "none", "--max-n", "3"],
+    *LIMIT_INPUTS,
+]
+
+
+def outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_INPUTS)
+def test_dispatch_matches_the_full_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = outcome(argv, capsys)
+    full = cli.build_parser()
+    full.commands = {}  # no subcommand of its own: main falls back every time
+    monkeypatch.setattr(cli, "_parser", lambda: full)
+    assert outcome(argv, capsys) == got
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    argv = ["reduce", "-p", "1", "--comp", "1"]
+    monkeypatch.setattr(sys, "argv", ["mhsums", *argv])
+    assert outcome(None, capsys) == outcome(argv, capsys)
+    assert outcome(None, capsys)[1] == "-1/4*n^2 - 3/4*n + (1/2*n^2 + 1/2*n)*H(1)\n"
+    monkeypatch.setattr(sys, "argv", ["mhsums", "reduce", "-p", "1", "bogus"])
+    code, out, err = outcome(None, capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("mhsums: error: unrecognized arguments: bogus\n")

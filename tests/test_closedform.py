@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pickle
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mhsums
-from mhsums import oracle
+from mhsums import oracle, verify
 from mhsums.cli import main
 from mhsums.closedform import ClosedForm, _Accumulator
 from mhsums.oracle import _lcm_upto, mhs_eval
@@ -128,6 +129,69 @@ def test_ratios_are_the_values_as_int_pairs(form, N):
     assert all(type(v) is Fraction for v in values)
     assert form._ratios(N // 2, N) == ratios[N // 2 :]
     assert type(form.eval(N)) is Fraction and form.eval(N) == values[N]
+
+
+def horner_ratios(form, lo, hi):
+    """_ratios(lo, hi) point by point: each coefficient by Horner's scheme at
+    n, over D, times H_n(comp) * L**w, and the denominator L**W * D, with
+    L = lcm(1..n), W the largest weight and D the lcm of the denominators."""
+    terms = form._terms
+    if not terms:
+        return [(0, 1)] * (hi + 1 - lo)
+    den = math.lcm(*[poly._den for poly in terms.values()])
+    top = max(sum(comp) for comp in terms)
+    out = []
+    for n in range(lo, hi + 1):
+        lcm, num = RUNNING[n], 0
+        for comp, poly in terms.items():
+            value = 0
+            for c in reversed(poly._ints):
+                value = value * n + c
+            scaled = mhs_eval(n, comp) * lcm ** sum(comp)
+            assert scaled.denominator == 1
+            num += value * (den // poly._den) * scaled.numerator * lcm ** (top - sum(comp))
+        out.append((num, lcm**top * den))
+    return out
+
+
+def forms_of_degree(d):
+    """Forms whose highest coefficient degree is d: one with every term at
+    degree d, and one with d only in a deep term and a scalar elsewhere."""
+    rng = random.Random(d)
+
+    def poly(degree):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(degree)]
+        return Polynomial(coeffs + [Fraction(rng.choice([-7, -1, 1, 5]), rng.randint(1, 6))])
+
+    return (
+        ClosedForm({(): poly(d), (1,): poly(d), (2, 1): poly(d)}),
+        ClosedForm({(3,): Fraction(1, 3), (1, 1, 1): poly(d), (2,): poly(d // 2)}),
+    )
+
+
+@pytest.mark.parametrize("d", range(9))
+def test_ratios_match_the_horner_reference(d):
+    # from one point to d + 2, where forward differences take over, and far past it
+    for form in forms_of_degree(d):
+        for lo in (0, 1, 7):
+            for hi in [lo + size - 1 for size in range(1, d + 3)] + [200]:
+                assert form._ratios(lo, hi) == horner_ratios(form, lo, hi), (lo, hi)
+        want = horner_ratios(form, 0, 200)
+        assert form.values(200) == [Fraction(*pair) for pair in want]
+        for n in (0, 1, 7, d, d + 1, d + 2, 200):
+            assert form.eval(n) == Fraction(*want[n])
+
+
+def test_a_mismatch_names_the_first_failing_n():
+    form = ClosedForm({(): x**3 - 2, (2, 1): Fraction(1, 5) * x})
+    nums, dens = map(list, zip(*form._ratios(0, 30)))
+    assert verify._matches_direct(form, (nums, dens), 30) == (True, "")
+    for n in (9, 30):
+        nums[n] += dens[n]
+    got, want = form.eval(9), form.eval(9) + 1
+    assert verify._matches_direct(form, (nums, dens), 30) == (
+        False, f"n=9: closed {got} != direct {want}"
+    )
 
 
 # a bare polynomial; weights 0, 3 and 5 only; weights 1, 2 and 4, with a

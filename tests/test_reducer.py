@@ -1,4 +1,7 @@
 import itertools
+import json
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 from mhsums.bernoulli import bernoulli, umbral_eval
 from mhsums.closedform import ClosedForm
 from mhsums.oracle import mhs_eval, mhs_values
-from mhsums.polynomial import Polynomial, _muladd, discrete_sum
+from mhsums.polynomial import Polynomial, _muladd, _reduced, discrete_sum
 from mhsums.reducer import _chain_step, _power_sum, c_poly, d_umbral, faulhaber
 from mhsums.reducer import reduce, reduce_direct
 from mhsums.verify import compositions_up_to
@@ -552,3 +555,66 @@ def test_built_rows_hold_fractions():
         for poly in (faulhaber(p), c_poly(p, (1,)), c_poly(p, (0, 2)), c_poly(p, (3, 3))):
             assert all(type(c) is Fraction for c in poly.coeffs)
             assert not poly.coeffs or poly.coeffs[-1] != 0
+
+
+def chain_c_poly(p, index):
+    """c_poly as one chain from its first step: every subscript's step on
+    the states of the one before, none read back from a prefix's polynomial."""
+    subs = (0,) + tuple(index)
+    top = p + 1 - subs[-1]
+    states, den = {0: 1}, 1
+    for a in subs:
+        states, den = _chain_step(states, den, p + 1 - a, top - 1)
+    ints = [0] * (top + 1)
+    for s, acc in states.items():
+        ints[top - s] = acc
+    return _reduced(den, ints)
+
+
+SMALL_INDICES = [
+    index
+    for r in range(5)
+    for index in itertools.combinations_with_replacement(range(4), r)
+]
+
+
+def test_c_poly_matches_the_whole_chain():
+    for p in range(41):
+        for index in SMALL_INDICES:
+            assert c_poly(p, index) == chain_c_poly(p, index), (p, index)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_c_poly_from_cold_memos_in_either_order(order):
+    # a fresh process starts with an empty memo: each prefix is built, in
+    # ascending order of length, by c_poly, or, in descending order, by the
+    # longest index first
+    indices = sorted(SMALL_INDICES, key=len, reverse=order == "descending")
+    probe = (
+        "import json, sys; from mhsums.reducer import c_poly\n"
+        "out = [[p, i, *(lambda f: (f._den, f._ints))(c_poly(p, tuple(i)))]\n"
+        "       for p, i in json.load(sys.stdin)]\n"
+        "print(json.dumps(out))"
+    )
+    cases = [(p, index) for index in indices for p in range(41)]
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        input=json.dumps(cases),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    for p, index, den, ints in json.loads(proc.stdout):
+        want = chain_c_poly(p, tuple(index))
+        assert (den, tuple(ints)) == (want._den, want._ints), (p, index)
+
+
+def test_c_poly_deep_index_needs_no_recursion():
+    index = (0,) * 1500
+    assert c_poly(3, index) == chain_c_poly(3, index)
+    assert c_poly(3, index[:700]) == chain_c_poly(3, index[:700])
+
+
+def test_c_poly_without_subscripts_is_faulhaber():
+    for p in range(41):
+        assert c_poly(p) == faulhaber(p)
