@@ -13,11 +13,12 @@ life of the process; ``clear_caches`` frees them.
 
 from . import bernoulli as _bernoulli
 from . import oracle as _oracle
-from .bernoulli import BernoulliTable, bernoulli, check_twoBs, umbral_eval
+from .bernoulli import BernoulliTable, _bernoulli_ints, bernoulli, check_twoBs
+from .bernoulli import umbral_eval
 from .closedform import ClosedForm
 from .oracle import _lcm_upto, harmonic, is_proper, mhs_eval, mhs_values
 from .polynomial import Polynomial, discrete_sum
-from .reducer import _bernoulli_ints, _c_poly, _reduce, c_poly
+from .reducer import _c_poly, _reduce, c_poly
 from .reducer import d_umbral, faulhaber, reduce, reduce_direct
 from .stuffle import _expand_power, _stuffle, composition_key, expand_power
 from .stuffle import product_combinations, stuffle
@@ -48,11 +49,11 @@ _MEMOS = (
 
 
 def clear_caches() -> None:
-    """Empty every memo and table: the seven ``lru_cache`` memos of the
-    reducer, the stuffle and the oracle's lcm(1..n), the oracle's tables and
-    its sieve of lcm steps (which closed-form evaluation reads too) and the
-    shared Bernoulli table.  Results stay the same; they are computed again
-    when next needed."""
+    """Empty every memo and table: the seven ``lru_cache`` memos (three of
+    the reducer, the Bernoulli numbers as ints, two of the stuffle and the
+    oracle's lcm(1..n)), the oracle's tables and its sieve of lcm steps
+    (which closed-form evaluation reads too) and the shared Bernoulli table.
+    Results stay the same; they are computed again when next needed."""
     for memo in _MEMOS:
         memo.cache_clear()
     with _oracle._lock:

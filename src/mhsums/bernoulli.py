@@ -10,13 +10,20 @@ sign at index 1 on read.  Each table keeps one growable list of
 minus-convention values; extension happens under a lock so a table can be
 shared between threads, and reads of already-computed entries need no
 coordination.
+
+Where the time goes the numbers are read as one int row: B_0..B_h in the
+plus convention over their lcm (``_bernoulli_ints``, memoized per h).  The
+reducer's chain and ``faulhaber`` read it, and ``umbral_eval`` is one dot
+product of a polynomial's row with it, building one ``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from typing import Literal, Optional
 
 from .polynomial import Polynomial
@@ -71,15 +78,29 @@ def bernoulli(n: int, convention: Convention = "plus") -> Fraction:
     return _SHARED.value(n, convention)
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_ints(h: int) -> "tuple[int, tuple[int, ...]]":
+    """``(bden, (B_0 * bden, ..., B_h * bden))`` in the plus convention, with
+    bden the lcm of the denominators."""
+    values = [bernoulli(j, "plus") for j in range(h + 1)]
+    bden = math.lcm(*[b.denominator for b in values])
+    return bden, tuple(b.numerator * (bden // b.denominator) for b in values)
+
+
 def umbral_eval(P: Polynomial, convention: Convention = "plus") -> Fraction:
     """Umbral value of P: each power x**i is replaced by the i-th Bernoulli
-    number, i.e. sum_i c_i * B_i."""
+    number, i.e. sum_i c_i * B_i.
+
+    One dot product of P's row with the plus-convention row of
+    ``_bernoulli_ints``; the minus value is the plus value less c_1.
+    """
     _check_convention(convention)
-    acc = Fraction(0)
-    for i, c in enumerate(P._ints):
-        if c:
-            acc += c * bernoulli(i, convention)
-    return acc / P._den
+    ints = P._ints
+    bden, brow = _bernoulli_ints(len(ints) - 1)
+    num = sum(map(operator.mul, ints, brow))
+    if convention == "minus" and len(ints) > 1:
+        num -= ints[1] * bden
+    return Fraction(num, P._den * bden)
 
 
 def check_twoBs(P: Polynomial) -> "tuple[bool, bool]":

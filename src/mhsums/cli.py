@@ -100,9 +100,9 @@ MAX_CONSTANT_BITS = 40_000  # numerator or denominator of a literal, power or pr
 # oracle keeps H_m(suffix) * lcm(1..m)**w for a suffix of weight w, about
 # 1.44 * m * w bits per value even where the value in lowest terms is far
 # smaller, so deep compositions of ones cost more than their values.  On a
-# 2-vCPU VM (Python 3.11.7), mhs_eval at n = 1,000 with as many ones takes
-# 1.1 s and 90 MB; the costliest accepted eval of this shape, --n 180 with
-# 100 ones, takes 0.11 s and 24 MB.
+# 2-vCPU VM (Python 3.11.7, one cold in-process run each), mhs_eval at
+# n = 1,000 with as many ones takes 2.2 s and 89 MB; the costliest accepted
+# eval of this shape, --n 180 with 100 ones, takes 0.06 s and 24 MB.
 MAX_DEPTH = 100  # entries of --comp
 # The direct evaluator builds a table of n exact values per suffix of the
 # composition, and the Bernoulli table costs m exact terms for its m-th entry.

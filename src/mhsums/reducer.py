@@ -24,12 +24,17 @@ factor -1 and J = k; X_v is H(v), so both keys are compositions.
 
 ``reduce_direct`` computes the same closed form in a single pass from the
 fully unrolled three-block summation formula and exists purely as an
-independent cross-check; the summation by parts is authoritative.  One reading
-note on the unrolled formula: in the leading (polynomial times tail) block,
-the last summation index of the l-th term ranges over the full current degree
-budget -- as if that block's final composition entry were 1 -- for every l,
-not only for l = r.  This is the reading consistent with ``reduce``;
-agreement of the two paths is enforced by the tests and by
+independent cross-check; the summation by parts is authoritative.  The
+states of its l-th step depend only on p and the prefix comp[:l-1]: they are
+the row of c_poly(p, (a_2, ..., a_l)) with a_{i+1} = k_1 + ... + k_i - i,
+so ``reduce_direct`` reads that memoized row, prefixes shortest first, and
+compositions that share a prefix share its chain with each other and with
+the structured forms.
+One reading note on the unrolled formula: in the leading (polynomial times
+tail) block, the last summation index of the l-th term ranges over the full
+current degree budget -- as if that block's final composition entry were 1
+-- for every l, not only for l = r.  This is the reading consistent with
+``reduce``; agreement of the two paths is enforced by the tests and by
 ``reduce --method both`` on the command line.
 
 ``c_poly`` builds the coefficient polynomials that appear in the leading
@@ -57,8 +62,9 @@ which holds no reduction logic.
 
 Where the time goes, the arithmetic runs on integers over one denominator.
 The chain's states are int numerators over a shared denominator; each step
-reads B_0..B_h once, as ints over their lcm (``_bernoulli_ints``), which
-``faulhaber`` reads too.  ``c_poly`` and ``faulhaber`` hand their rows to
+reads B_0..B_h once, as ints over their lcm (``bernoulli._bernoulli_ints``,
+re-exported here), the one table that ``faulhaber`` and umbral evaluation
+read too.  ``c_poly`` and ``faulhaber`` hand their rows to
 ``Polynomial`` as they are; ``reduce_direct`` adds its states to the
 accumulator as ints, and the walk its power sums (``_power_sum``), which
 add Faulhaber's rows over their lcm.
@@ -69,8 +75,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
-from .bernoulli import bernoulli, umbral_eval
+from .bernoulli import _bernoulli_ints, umbral_eval
 from .closedform import ClosedForm, _Accumulator
 from .oracle import is_proper
 from .polynomial import Polynomial, _muladd, _muladd_over, _reduced
@@ -125,7 +132,7 @@ def _chain_step(
     the partial sum, so merging is exact.  Each state is scaled by
     L / (d - s), with L the lcm of the live d - s, and B_0..B_h are read once
     as integers over their lcm ``bden``; so the new states are ints over
-    ``den * L * bden``, reduced by their common gcd.
+    ``den * L * bden``, left unreduced for the caller's one ``_reduced``.
     """
     out: "dict[int, int]" = {}
     if h < 0:
@@ -142,20 +149,7 @@ def _chain_step(
                 b = brow[j]
                 if b:
                     out[s + j] = out.get(s + j, 0) + acc * math.comb(dd, j) * b
-    den *= lcm * bden
-    g = math.gcd(den, *out.values())
-    if g > 1:
-        out = {s: acc // g for s, acc in out.items()}
-    return out, den // g
-
-
-@lru_cache(maxsize=None)
-def _bernoulli_ints(h: int) -> "tuple[int, tuple[int, ...]]":
-    """``(bden, (B_0 * bden, ..., B_h * bden))`` in the plus convention, with
-    bden the lcm of the denominators."""
-    values = [bernoulli(j, "plus") for j in range(h + 1)]
-    bden = math.lcm(*[b.denominator for b in values])
-    return bden, tuple(b.numerator * (bden // b.denominator) for b in values)
+    return out, den * lcm * bden
 
 
 @lru_cache(maxsize=None)
@@ -242,7 +236,9 @@ def _by_parts(out, weight: Polynomial, states, edges, K) -> None:
 
 def reduce_direct(p: int, comp: "tuple[int, ...]") -> ClosedForm:
     """Same closed form as ``reduce`` from the single-pass three-block
-    formula; no recursion and no reduction logic shared with ``reduce``."""
+    formula, each step's chain the memoized ``c_poly`` row of its prefix,
+    read shortest first so that no call recurses deeper; no reduction logic
+    is shared with ``reduce``."""
     _check_power(p)
     comp = tuple(comp)
     if not comp:
@@ -250,31 +246,22 @@ def reduce_direct(p: int, comp: "tuple[int, ...]") -> ClosedForm:
     if not is_proper(comp):
         raise ValueError("composition must be proper (all entries >= 1)")
 
-    r = len(comp)
-    kw = [0] * (r + 2)
-    for i in range(1, r + 1):
-        kw[i] = kw[i - 1] + comp[i - 1]
-    kw[r + 1] = kw[r] + 1  # the final, absorbed entry counts as 1
-
+    ks = comp + (1,)  # the final, absorbed entry counts as 1
+    # the subscripts a_2, ..., a_{r+1}: a_{i+1} = k_1 + ... + k_i - i
+    index = tuple(accumulate(k - 1 for k in comp))
     out = _Accumulator()
-    prefix, den = {0: 1}, 1  # chain states over j_1, ..., j_{l-1}
-    for l in range(1, r + 2):
+    for l in range(1, len(ks) + 1):
         sign = -1 if l % 2 else 1  # (-1)**l
-        d = p + l - kw[l - 1]  # power weight + 1, less the partial sum
-        states, den = _chain_step(prefix, den, d, d - 1)
+        # the chain over j_1, ..., j_l is c_poly(p, (a_2, ..., a_l)): state s
+        # is its coefficient of x**(p + 1 - a_l - s)
+        poly = _c_poly(p, index[: l - 1])
+        row, den = poly._ints, poly._den
         # leading block: polynomial coefficient times H(k_l, ..., k_r); at
         # l = r + 1 this is the final, pure polynomial block
-        lead = [0] * (d + 1)
-        for s, acc in states.items():
-            lead[d - s] = acc
-        out.add_ints(comp[l - 1 :], lead, den, -sign)
-        # a partial sum past the next step's budget drops the first entry
-        # below k_l (middle block); the others carry on as the next prefix
-        budget = p + l - kw[l]
-        prefix = {}
-        for s, acc in states.items():
-            if s <= budget:
-                prefix[s] = acc
-            else:
-                out.add_ints((kw[l] + s - l - p,) + comp[l:], (acc,), den, sign)
+        out.add_ints(comp[l - 1 :], row, den, -sign)
+        # a coefficient of x**i with i < k_l is a partial sum past the next
+        # step's budget: it drops the first entry to k_l - i (middle block)
+        for i, c in enumerate(row[: ks[l - 1]]):
+            if c:
+                out.add_ints((ks[l - 1] - i,) + comp[l:], (c,), den, sign)
     return out.freeze()

@@ -22,10 +22,15 @@ sum_{m=0..n} F(m) H_m**t = F(n) H_n**t + sum_{m=1..n} F(m-1) H_{m-1}**t.
 ``structured_form`` produces the presentations with explicit H_n-power
 blocks (squares, cubes, the H*H(2) product, and fourth powers with a general
 polynomial weight), assembled directly from the coefficient polynomials and
-umbral values; ``structured_to_closed`` flattens such a presentation so the
-two routes can be compared structurally.  ``structure_check`` verifies the
-general shape of the remainder after removing the leading S_n(F) * H_n**t
-block: depth below t and coefficient degree at most deg(F) + 1.
+umbral values.  Each kind is one entry of one table, ``_BLOCKS``: its shape
+and its (factor, term) pairs per block.  ``_blocks`` adds every term into one
+int row per block, a c_poly row or a constant as a one-entry row, each by one
+``_muladd_over`` with the int factor a * factor for the weight's numerator a,
+and reduces each row once.  ``structured_to_closed`` flattens such a
+presentation so the two routes can be compared structurally.
+``structure_check`` verifies the general shape of the remainder after
+removing the leading S_n(F) * H_n**t block: depth below t and coefficient
+degree at most deg(F) + 1.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ from fractions import Fraction
 
 from .bernoulli import bernoulli, umbral_eval
 from .closedform import ClosedForm, _Accumulator
-from .polynomial import Polynomial, discrete_sum
-from .reducer import _by_parts, _check_power, c_poly, d_umbral, faulhaber
+from .polynomial import Polynomial, _muladd_over, _reduced, discrete_sum
+from .reducer import _by_parts, _c_poly, _check_power, d_umbral, faulhaber
 from .stuffle import expand_power, product_combinations
 
 __all__ = [
@@ -162,7 +167,96 @@ class StructuredForm:
     c3: Fraction
 
 
-_KINDS = ("hn2", "hn3", "mixed", "hn4")
+def _derivative_umbral(p: int) -> Fraction:
+    """The umbral value of 2 D' + 6 (D - B_p) / x for D = faulhaber(p) / x."""
+    # D's coefficient D_k of x**k is faulhaber's of x**(k + 1), and D_0 = B_p,
+    # so the sum has (2 k + 8) D_{k+1} at x**k
+    S = faulhaber(p)
+    row = [(2 * k + 8) * c for k, c in enumerate(S._ints[2:])]
+    return umbral_eval(_reduced(S._den, row))
+
+
+# The constants of the structured forms at the power p, with plus-convention
+# Bernoulli numbers; a factor vanishes where the Bernoulli index would be
+# negative.
+_CONSTANTS = {
+    "B/2": lambda p: bernoulli(p, "plus") / 2,
+    "pB/2": lambda p: p * bernoulli(p - 1, "plus") / 2 if p else Fraction(0),
+    "ppB/6": lambda p: (
+        p * (p - 1) * bernoulli(p - 2, "plus") / 6 if p > 1 else Fraction(0)
+    ),
+    "U": d_umbral,
+    "U0": lambda p: d_umbral(p, (0,)),
+    "dU": _derivative_umbral,
+}
+
+# Each structured form as (power, extra_orders, blocks), its blocks as
+# (factor, term) pairs: a tuple of subscripts stands for c_poly(p,
+# subscripts), a name for that constant of ``_CONSTANTS``.  With
+# F = sum_p a_p m**p, a block is the sum over p of a_p * sum factor * term;
+# the last block is c2, those before it q[0], q[1], ...  ``leading`` is F's
+# power sum.
+_BLOCKS = {
+    "hn2": (
+        2,
+        (),
+        (
+            ((2, (0, 0)), (-1, (1,))),
+            ((-2, (0,)), (-2, "B/2")),
+            (),
+        ),
+    ),
+    "hn3": (
+        3,
+        (),
+        (
+            ((-6, (0, 0, 0)), (3, (0, 1)), (3, (1, 1)), (-1, (2,))),
+            ((6, (0, 0)), (3, "U"), (-3, (1,)), (-1, "pB/2")),
+            ((-3, (0,)), (-3, "B/2")),
+            ((1, "B/2"),),
+        ),
+    ),
+    "mixed": (
+        1,
+        (2,),
+        (
+            ((1, (0, 1)), (1, (1, 1)), (-1, (2,))),
+            ((1, "U"), (-1, (1,)), (-1, "pB/2")),
+            ((-1, "B/2"),),
+            ((-1, (0,)), (-1, "B/2")),
+        ),
+    ),
+    "hn4": (
+        4,
+        (),
+        (
+            (
+                (24, (0, 0, 0, 0)),
+                (-12, (0, 0, 1)),
+                (-12, (0, 1, 1)),
+                (-12, (1, 1, 1)),
+                (4, (0, 2)),
+                (6, (1, 2)),
+                (4, (2, 2)),
+                (-1, (3,)),
+            ),
+            (
+                (-24, (0, 0, 0)),
+                (12, (0, 1)),
+                (12, (1, 1)),
+                (-4, (2,)),
+                (-12, "U0"),
+                (1, "dU"),
+                (-1, "ppB/6"),
+            ),
+            ((12, (0, 0)), (-6, (1,)), (6, "U"), (-2, "pB/2")),
+            ((-4, (0,)), (-4, "B/2")),
+            # the depth-one block collapses to a constant: -6 + 4 copies of
+            # the same umbral value plus the guarded Bernoulli correction
+            ((-2, "U"), (1, "pB/2")),
+        ),
+    ),
+}
 
 
 def structured_form(kind: str, arg) -> StructuredForm:
@@ -173,142 +267,44 @@ def structured_form(kind: str, arg) -> StructuredForm:
     kind "mixed": sum m**p * H_{m-1} * H_{m-1}(2)  (arg: p)
     kind "hn4":   sum F(m) * H_{m-1}**4            (arg: Polynomial F)
     """
-    if kind not in _KINDS:
+    if kind not in _BLOCKS:
         raise ValueError(f"unknown structured kind {kind!r}")
     if kind == "hn4":
         _check_weight(arg)
-        return _hn4(arg)
-    _check_power(arg)
-    if kind == "hn2":
-        return _hn2(arg)
-    if kind == "hn3":
-        return _hn3(arg)
-    return _mixed(arg)
+        weight, den, leading = list(enumerate(arg._ints)), arg._den, discrete_sum(arg)
+        c3 = umbral_eval(arg, "plus")
+    else:
+        _check_power(arg)
+        weight, den, leading, c3 = [(arg, 1)], 1, faulhaber(arg), Fraction(0)
+    power, extra_orders, table = _BLOCKS[kind]
+    *q, c2 = _blocks(table, weight, den)
+    # only hn4 has a depth-two tail: F's umbral value under H_n(3), twice it
+    # under H_n(2, 1)
+    return StructuredForm(power, extra_orders, leading, tuple(q), c2, 2 * c3, c3)
 
 
-def _weighted_b(p: int, shift: int, scale: Fraction) -> Fraction:
-    """scale * B_{p-shift}, with the factor vanishing when p < shift so the
-    Bernoulli index never goes negative."""
-    if p < shift or not scale:
-        return Fraction(0)
-    return scale * bernoulli(p - shift, "plus")
-
-
-def _hn2(p: int) -> StructuredForm:
-    bp = bernoulli(p, "plus")
-    q1 = -(2 * c_poly(p, (0,)) + bp)
-    q0 = 2 * c_poly(p, (0, 0)) - c_poly(p, (1,))
-    return StructuredForm(
-        power=2,
-        extra_orders=(),
-        leading=faulhaber(p),
-        q=(q0, q1),
-        c2=Polynomial.zero(),
-        c21=Fraction(0),
-        c3=Fraction(0),
-    )
-
-
-def _hn3(p: int) -> StructuredForm:
-    bp = bernoulli(p, "plus")
-    q2 = -3 * (c_poly(p, (0,)) + Fraction(bp, 2))
-    q1 = (
-        6 * c_poly(p, (0, 0))
-        + 3 * d_umbral(p)
-        - 3 * c_poly(p, (1,))
-        - _weighted_b(p, 1, Fraction(p, 2))
-    )
-    q0 = (
-        -6 * c_poly(p, (0, 0, 0))
-        + 3 * c_poly(p, (0, 1))
-        + 3 * c_poly(p, (1, 1))
-        - c_poly(p, (2,))
-    )
-    return StructuredForm(
-        power=3,
-        extra_orders=(),
-        leading=faulhaber(p),
-        q=(q0, q1, q2),
-        c2=Polynomial.constant(Fraction(bp, 2)),
-        c21=Fraction(0),
-        c3=Fraction(0),
-    )
-
-
-def _mixed(p: int) -> StructuredForm:
-    bp = bernoulli(p, "plus")
-    q2 = Polynomial.constant(-Fraction(bp, 2))
-    q1 = (
-        Polynomial.constant(d_umbral(p))
-        - c_poly(p, (1,))
-        - _weighted_b(p, 1, Fraction(p, 2))
-    )
-    q0 = c_poly(p, (0, 1)) + c_poly(p, (1, 1)) - c_poly(p, (2,))
-    c2 = -(c_poly(p, (0,)) + Fraction(bp, 2))
-    return StructuredForm(
-        power=1,
-        extra_orders=(2,),
-        leading=faulhaber(p),
-        q=(q0, q1, q2),
-        c2=c2,
-        c21=Fraction(0),
-        c3=Fraction(0),
-    )
-
-
-def _hn4(F: Polynomial) -> StructuredForm:
-    P = Polynomial.zero()
-    Q = [Polynomial.zero() for _ in range(4)]
-    for p, a in enumerate(F.coeffs):
+def _blocks(table, weight, den: int) -> "list[Polynomial]":
+    """Each block of ``table`` for the weight with the coefficients a / den
+    of m**p, for the pairs (p, a) of ``weight``: one int row per block, each
+    term added by one ``_muladd_over``, and one ``_reduced`` at the end."""
+    entries = [[1, []] for _ in table]
+    for p, a in weight:
         if not a:
             continue
-        bp = bernoulli(p, "plus")
-        d_poly = faulhaber(p).divide_x()  # the leading coefficient over x
-        # the depth-one block collapses to a constant: -6 + 4 copies of the
-        # same umbral value plus the guarded Bernoulli correction
-        P = P + a * Polynomial.constant(
-            -2 * d_umbral(p) + _weighted_b(p, 1, Fraction(p, 2))
-        )
-        Q[0] = Q[0] + a * (
-            24 * c_poly(p, (0, 0, 0, 0))
-            - 12 * c_poly(p, (0, 0, 1))
-            - 12 * c_poly(p, (0, 1, 1))
-            - 12 * c_poly(p, (1, 1, 1))
-            + 4 * c_poly(p, (0, 2))
-            + 6 * c_poly(p, (1, 2))
-            + 4 * c_poly(p, (2, 2))
-            - c_poly(p, (3,))
-        )
-        Q[1] = Q[1] + a * (
-            -24 * c_poly(p, (0, 0, 0))
-            + 12 * c_poly(p, (0, 1))
-            + 12 * c_poly(p, (1, 1))
-            - 4 * c_poly(p, (2,))
-            + Polynomial.constant(
-                -12 * d_umbral(p, (0,))
-                + 2 * umbral_eval(d_poly.derivative(), "plus")
-                + 6 * umbral_eval((d_poly - bp).divide_x(), "plus")
-                - _weighted_b(p, 2, Fraction(p * (p - 1), 6))
-            )
-        )
-        Q[2] = Q[2] + a * (
-            12 * c_poly(p, (0, 0))
-            - 6 * c_poly(p, (1,))
-            + Polynomial.constant(
-                6 * d_umbral(p) - _weighted_b(p, 1, Fraction(p))
-            )
-        )
-        Q[3] = Q[3] + a * (-4 * c_poly(p, (0,)) - Polynomial.constant(2 * bp))
-    fb = umbral_eval(F, "plus")
-    return StructuredForm(
-        power=4,
-        extra_orders=(),
-        leading=discrete_sum(F),
-        q=tuple(Q),
-        c2=P,
-        c21=2 * fb,
-        c3=fb,
-    )
+        constants: "dict[str, Fraction]" = {}
+        for entry, terms in zip(entries, table):
+            for factor, term in terms:
+                if isinstance(term, tuple):
+                    # the table's subscripts are valid and at most four deep
+                    poly = _c_poly(p, term)
+                    nums, tden = poly._ints, poly._den
+                else:
+                    if term not in constants:
+                        constants[term] = _CONSTANTS[term](p)
+                    value = constants[term]
+                    nums, tden = (value.numerator,), value.denominator
+                _muladd_over(entry, nums, tden, a * factor)
+    return [_reduced(D * den, row) for D, row in entries]
 
 
 def structured_to_closed(form: StructuredForm) -> ClosedForm:

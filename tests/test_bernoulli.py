@@ -69,6 +69,26 @@ def test_umbral_eval_linear():
     assert umbral_eval(p, "plus") == want == 0
 
 
+@given(st.lists(st.fractions(max_denominator=30), max_size=14).map(Polynomial))
+def test_umbral_eval_is_the_coefficient_sum(P):
+    for convention in ("plus", "minus"):
+        want = sum(
+            (c * bernoulli(i, convention) for i, c in enumerate(P.coeffs)), Fraction(0)
+        )
+        got = umbral_eval(P, convention)
+        assert type(got) is Fraction and got == want
+
+
+def test_umbral_eval_of_zero_and_constants():
+    for convention in ("plus", "minus"):
+        assert umbral_eval(Polynomial.zero(), convention) == 0
+        constant = Fraction(-3, 7)
+        assert umbral_eval(Polynomial.constant(constant), convention) == constant
+        assert type(umbral_eval(Polynomial.zero(), convention)) is Fraction
+    # the conventions part at x alone: B_1 is 1/2 or -1/2
+    assert umbral_eval(x, "plus") - umbral_eval(x, "minus") == 1
+
+
 def test_umbral_shift_identity():
     # (x-1)^i at the plus-convention numbers gives the minus convention
     for i in range(25):

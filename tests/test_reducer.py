@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhsums.bernoulli import bernoulli, umbral_eval
-from mhsums.closedform import ClosedForm
+from mhsums.closedform import ClosedForm, _Accumulator
 from mhsums.oracle import mhs_eval, mhs_values
 from mhsums.polynomial import Polynomial, _muladd, _reduced, discrete_sum
 from mhsums.reducer import _chain_step, _power_sum, c_poly, d_umbral, faulhaber
@@ -618,3 +618,63 @@ def test_c_poly_deep_index_needs_no_recursion():
 def test_c_poly_without_subscripts_is_faulhaber():
     for p in range(41):
         assert c_poly(p) == faulhaber(p)
+
+
+def single_pass_reduce_direct(p, comp):
+    """reduce_direct as one loop over the composition: each step's chain runs
+    on the states of the step before, those past its budget dropped first,
+    with nothing kept between calls."""
+    r = len(comp)
+    kw = [0] * (r + 2)
+    for i in range(1, r + 1):
+        kw[i] = kw[i - 1] + comp[i - 1]
+    kw[r + 1] = kw[r] + 1
+    out = _Accumulator()
+    prefix, den = {0: 1}, 1
+    for l in range(1, r + 2):
+        sign = -1 if l % 2 else 1
+        d = p + l - kw[l - 1]
+        states, den = _chain_step(prefix, den, d, d - 1)
+        lead = [0] * (d + 1)
+        for s, acc in states.items():
+            lead[d - s] = acc
+        out.add_ints(comp[l - 1 :], lead, den, -sign)
+        budget = p + l - kw[l]
+        prefix = {}
+        for s, acc in states.items():
+            if s <= budget:
+                prefix[s] = acc
+            else:
+                out.add_ints((kw[l] + s - l - p,) + comp[l:], (acc,), den, sign)
+    return out.freeze()
+
+
+DIRECT_COMPS = compositions_up_to(7, include_empty=False)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_reduce_direct_from_cold_memos_in_either_order(order):
+    # a fresh process starts with no chain memoized: ascending by depth,
+    # each composition's prefixes were met before; descending, the deepest
+    # composition of each family builds them all
+    comps = sorted(DIRECT_COMPS, key=len, reverse=order == "descending")
+    probe = (
+        "import json, sys; from mhsums.reducer import reduce_direct\n"
+        "print(json.dumps([reduce_direct(p, tuple(c)).to_json()\n"
+        "                  for p, c in json.load(sys.stdin)]))"
+    )
+    cases = [(p, comp) for comp in comps for p in (0, 1, 6, 13, 26)]
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        input=json.dumps(cases),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    for (p, comp), text in zip(cases, json.loads(proc.stdout), strict=True):
+        assert text == single_pass_reduce_direct(p, comp).to_json(), (p, comp)
+
+
+def test_reduce_direct_deep_composition_needs_no_recursion():
+    comp = (1,) * 1500
+    assert reduce_direct(3, comp) == single_pass_reduce_direct(3, comp)

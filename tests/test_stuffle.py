@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import mhsums
 from mhsums import oracle
 from mhsums.bernoulli import _SHARED
+from mhsums.bernoulli import _bernoulli_ints as table_ints
 from mhsums.oracle import _cache, _lcm_upto, mhs_eval
 from mhsums.polynomial import Polynomial
 from mhsums.reducer import _bernoulli_ints, _c_poly, _reduce, faulhaber
@@ -151,6 +152,7 @@ def test_clear_caches_empties_every_memo():
         _lcm_upto,
     )
     assert set(memos) == set(mhsums._MEMOS)
+    assert _bernoulli_ints is table_ints  # the reducer re-exports the table
     assert all(memo.cache_info().currsize for memo in memos) and _cache
     assert len(oracle._steps) > 30
     mhsums.clear_caches()

@@ -14,7 +14,7 @@ from mhsums import sums
 from mhsums.oracle import harmonic, is_proper, mhs_eval
 from mhsums.polynomial import Polynomial, _muladd, discrete_sum
 from mhsums.cli import MAX_POWER
-from mhsums.reducer import _by_parts, faulhaber, reduce, reduce_direct
+from mhsums.reducer import _by_parts, c_poly, d_umbral, faulhaber, reduce, reduce_direct
 from mhsums.stuffle import expand_power, product_combinations, stuffle
 from mhsums.sums import (
     _levels,
@@ -424,6 +424,136 @@ def test_fourth_power_special_weights_kill_depth_two_tail():
         sf = structured_form("hn4", F)
         assert sf.c21 == 0 and sf.c3 == 0
         assert sf.leading == discrete_sum(F)
+
+
+# The structured forms as Polynomial and Fraction sums, one formula per
+# kind: the reference the block table must reproduce field for field.
+
+
+def old_weighted_b(p, shift, scale):
+    if p < shift or not scale:
+        return Fraction(0)
+    return scale * bernoulli(p - shift, "plus")
+
+
+def old_hn2(p):
+    bp = bernoulli(p, "plus")
+    q1 = -(2 * c_poly(p, (0,)) + bp)
+    q0 = 2 * c_poly(p, (0, 0)) - c_poly(p, (1,))
+    return sums.StructuredForm(
+        2, (), faulhaber(p), (q0, q1), Polynomial.zero(), Fraction(0), Fraction(0)
+    )
+
+
+def old_hn3(p):
+    bp = bernoulli(p, "plus")
+    q2 = -3 * (c_poly(p, (0,)) + Fraction(bp, 2))
+    q1 = (
+        6 * c_poly(p, (0, 0))
+        + 3 * d_umbral(p)
+        - 3 * c_poly(p, (1,))
+        - old_weighted_b(p, 1, Fraction(p, 2))
+    )
+    q0 = (
+        -6 * c_poly(p, (0, 0, 0))
+        + 3 * c_poly(p, (0, 1))
+        + 3 * c_poly(p, (1, 1))
+        - c_poly(p, (2,))
+    )
+    c2 = Polynomial.constant(Fraction(bp, 2))
+    return sums.StructuredForm(
+        3, (), faulhaber(p), (q0, q1, q2), c2, Fraction(0), Fraction(0)
+    )
+
+
+def old_mixed(p):
+    bp = bernoulli(p, "plus")
+    q2 = Polynomial.constant(-Fraction(bp, 2))
+    q1 = (
+        Polynomial.constant(d_umbral(p))
+        - c_poly(p, (1,))
+        - old_weighted_b(p, 1, Fraction(p, 2))
+    )
+    q0 = c_poly(p, (0, 1)) + c_poly(p, (1, 1)) - c_poly(p, (2,))
+    c2 = -(c_poly(p, (0,)) + Fraction(bp, 2))
+    return sums.StructuredForm(
+        1, (2,), faulhaber(p), (q0, q1, q2), c2, Fraction(0), Fraction(0)
+    )
+
+
+def old_hn4(F):
+    P = Polynomial.zero()
+    Q = [Polynomial.zero() for _ in range(4)]
+    for p, a in enumerate(F.coeffs):
+        if not a:
+            continue
+        bp = bernoulli(p, "plus")
+        d_poly = faulhaber(p).divide_x()
+        P = P + a * Polynomial.constant(
+            -2 * d_umbral(p) + old_weighted_b(p, 1, Fraction(p, 2))
+        )
+        Q[0] = Q[0] + a * (
+            24 * c_poly(p, (0, 0, 0, 0))
+            - 12 * c_poly(p, (0, 0, 1))
+            - 12 * c_poly(p, (0, 1, 1))
+            - 12 * c_poly(p, (1, 1, 1))
+            + 4 * c_poly(p, (0, 2))
+            + 6 * c_poly(p, (1, 2))
+            + 4 * c_poly(p, (2, 2))
+            - c_poly(p, (3,))
+        )
+        Q[1] = Q[1] + a * (
+            -24 * c_poly(p, (0, 0, 0))
+            + 12 * c_poly(p, (0, 1))
+            + 12 * c_poly(p, (1, 1))
+            - 4 * c_poly(p, (2,))
+            + Polynomial.constant(
+                -12 * d_umbral(p, (0,))
+                + 2 * umbral_eval(d_poly.derivative(), "plus")
+                + 6 * umbral_eval((d_poly - bp).divide_x(), "plus")
+                - old_weighted_b(p, 2, Fraction(p * (p - 1), 6))
+            )
+        )
+        Q[2] = Q[2] + a * (
+            12 * c_poly(p, (0, 0))
+            - 6 * c_poly(p, (1,))
+            + Polynomial.constant(6 * d_umbral(p) - old_weighted_b(p, 1, Fraction(p)))
+        )
+        Q[3] = Q[3] + a * (-4 * c_poly(p, (0,)) - Polynomial.constant(2 * bp))
+    fb = umbral_eval(F, "plus")
+    return sums.StructuredForm(4, (), discrete_sum(F), tuple(Q), P, 2 * fb, fb)
+
+
+def assert_same_fields(got, want):
+    for name in ("power", "extra_orders", "leading", "q", "c2", "c21", "c3"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b) and a == b, name
+    assert [type(q) for q in got.q] == [Polynomial] * len(want.q)
+    for a, b in zip(got.q + (got.leading, got.c2), want.q + (want.leading, want.c2)):
+        assert (a._den, a._ints) == (b._den, b._ints)
+
+
+def test_structured_forms_match_the_polynomial_formulas():
+    for p in range(41):
+        assert_same_fields(structured_form("hn2", p), old_hn2(p))
+        assert_same_fields(structured_form("hn3", p), old_hn3(p))
+        assert_same_fields(structured_form("mixed", p), old_mixed(p))
+
+
+def test_fourth_power_blocks_match_the_polynomial_formula():
+    rng = random.Random(25)
+    weights = [Polynomial.monomial(d) for d in range(41)]
+    weights += [
+        Polynomial([rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(d + 1)])
+        for d in range(30)
+    ]
+    weights += [
+        Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(d)])
+        for d in range(1, 14)
+    ]
+    weights += [Polynomial.zero(), Polynomial([Fraction(-7, 3)]), 2 * x - 1]
+    for F in weights:
+        assert_same_fields(structured_form("hn4", F), old_hn4(F))
 
 
 def test_structured_form_validation():
