@@ -1,8 +1,10 @@
 """Command-line interface: reduce, sum, eval, check, bernoulli, table, verify.
 
 Exit codes: 0 on success, 1 when a verification or cross-check fails, 2 for
-usage or parse errors.  Every emitter is deterministic: the same invocation
-produces byte-identical output.
+usage or parse errors and when standard output is closed before the output
+ends (``... | head``), so that a cut-off ``verify`` never reads as a pass.
+Every emitter is deterministic: the same invocation produces byte-identical
+output.
 
 A command line that starts with a subcommand is read by its parser alone
 (``build_parser``'s ``commands``); anything else, or left over, goes to the
@@ -24,6 +26,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 
 from .bernoulli import bernoulli
@@ -624,9 +627,19 @@ def main(argv: "list[str] | None" = None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return _ACTIONS[args.command](args)
+        code = _ACTIONS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except (PolyParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush at
+        # exit cannot raise again (the Python docs' note on SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output closed before the output ended", file=sys.stderr)
         return 2
     finally:
         if digit_limit is not None:

@@ -29,12 +29,14 @@ Horner's scheme at the first d + 1 points and, past them, from forward
 differences: its d-th difference is constant, and each lower difference
 column is one running sum of the next (Knuth, TAOCP vol. 2, 4.6.4).  Their
 products with the numerators sum per weight into S_w, and the weights
-combine by Horner's scheme in L: the value is the int pair
-(sum_w S_w * L**(W - w), L**W * D), W the largest weight, with no gcd, lcm
-or division per term and n; the denominators are one running product of
-the sieve's r_n**W.  ``values(max_n)`` and ``eval(n)`` build one
-``Fraction`` per value from those pairs; ``verify`` compares the pairs
-themselves (``_ratios``) with the direct sums by cross multiplication.
+combine by Horner's scheme in L up to any top at least W, the largest
+weight: the value is sum_w S_w * L**(top - w) over L**top * D
+(``_numerators``), with no gcd, lcm or division per term and n.
+``_ratios`` pairs the numerators at top = W with their denominators, one
+running product of the sieve's r_n**W, and ``values(max_n)`` and
+``eval(n)`` build one ``Fraction`` per pair.  ``verify`` reads the
+numerators alone, at the larger of W and the direct side's weight, since
+both sides' denominators are known.
 
 Terms render and serialize in one canonical order (weight, then depth, then
 lexicographic entries), so every emitter is deterministic.  JSON is written
@@ -217,10 +219,26 @@ class ClosedForm:
         """C(lo), ..., C(hi) as int pairs (numerator, denominator > 0), not
         always in lowest terms, over L**W * D at each n (see the module
         docstring); a subrange gives the same pairs as the full range."""
+        top = self._weight
+        nums, den = self._numerators(lo, hi, top)
+        # the denominators L**W * D, one running product of the sieve's r**W
+        steps = _steps_upto(hi)[lo + 1 : hi + 1]
+        first = _lcm_upto(lo) ** top * den
+        dens = accumulate((r**top for r in steps), mul, initial=first)
+        return list(zip(nums, dens))
+
+    @property
+    def _weight(self) -> int:
+        """W, the largest weight of a composition in the form (0 if none)."""
+        return max(map(sum, self._terms), default=0)
+
+    def _numerators(self, lo: int, hi: int, top: int) -> "tuple[list[int], int]":
+        """(nums, D) with C(n) = nums[n - lo] / (L**top * D) at n = lo..hi,
+        for any top >= W (see the module docstring)."""
         if not isinstance(hi, int) or hi < 0:
             raise ValueError("upper limit must be a nonnegative integer")
         if not self._terms:
-            return [(0, 1)] * (hi + 1 - lo)
+            return [0] * (hi + 1 - lo), 1
         polys = self._terms.values()
         den = math.lcm(*[poly._den for poly in polys])
         steps = _steps_upto(hi)[lo + 1 : hi + 1]
@@ -231,15 +249,13 @@ class ClosedForm:
             col = map(mul, col, _scaled(lo, hi, comp))
             w = sum(comp)
             sums[w] = list(map(add, sums[w], col)) if w in sums else list(col)
-        top, low = max(sums), min(sums)
+        low = min(sums)
         acc = sums[low]
         for w in range(low + 1, top + 1):
             acc = list(map(mul, acc, lcms))
             if w in sums:
                 acc = list(map(add, acc, sums[w]))
-        # the denominators L**W * D, one running product of the sieve's r**W
-        dens = accumulate((r**top for r in steps), mul, initial=lcms[0] ** top * den)
-        return list(zip(acc, dens))
+        return acc, den
 
     # ------------------------------------------------------------- rendering
 

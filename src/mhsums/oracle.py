@@ -30,11 +30,13 @@ This module shares no arithmetic with the reducer, the sums or
 
 Readers take lowest terms only at the boundary.  ``mhs_eval``, the
 ``eval`` command and ``table`` read one point (``_pair``), reduced by one
-gcd against L(n)**w; ``mhs_values`` and ``verify`` read the numerators
-over L(m)**w (``_pairs``, ``_scaled``); closed-form evaluation reads the
-numerators themselves (``_scaled``) and the sieve.  The tables and the
-sieve grow under one re-entrant lock, so they behave as if computed once
-even when shared between threads; an entry, once stored, never changes.
+gcd against L(n)**w; ``mhs_values`` reads the numerators with their
+denominators L(m)**w (``_pairs``); closed-form evaluation and ``verify``
+read the numerators themselves (``_scaled``), also of the extended
+(-p,) + comp that ``reduce`` is checked against, and the sieve.  The
+tables and the sieve grow under one re-entrant lock, so they behave as if
+computed once even when shared between threads; an entry, once stored,
+never changes.
 """
 
 from __future__ import annotations
@@ -184,8 +186,9 @@ def _pairs(n: int, comp: "tuple[int, ...]") -> "tuple[list[int], list[int]]":
 
 
 def _scaled(lo: int, hi: int, comp: "tuple[int, ...]") -> "list[int]":
-    """H_m(comp) * lcm(1..m)**w for m = lo..hi, as ints, for a proper
-    composition of weight w: a slice of its table."""
+    """H_m(comp) * lcm(1..m)**w for m = lo..hi, as ints, for a composition
+    whose positive entries sum to w, proper or extended: a slice of its
+    table."""
     return _values(comp, hi).nums[lo : hi + 1]
 
 

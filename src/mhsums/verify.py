@@ -5,23 +5,31 @@ Results print one line per identity in a fixed order, and the overall
 status is 0 only when everything passed.  All random choices are seeded, so
 repeated runs are byte-identical.
 
-The oracle checks compare a closed form's values (``ClosedForm._ratios``)
-with direct values by cross multiplication.  For ``reduce`` these are the
-oracle's own values (``oracle._pairs``).  For the sums they are running sums
-of F(m) times a product of powers of harmonic sums, built from the oracle's
-numerators over den(F) * L(j)**w, with L(j) = lcm(1..j) and w the weight of
-the product: each step multiplies the running sum by the oracle's sieve step
-r_j**w and adds one term, with no gcd or lcm (``_direct_weighted_sum``).
+The oracle checks compare numerators over one known denominator.  A direct
+side is (nums, w, den): its value at n is nums[n] / (den * L(n)**w), with
+L(n) = lcm(1..n).  For ``reduce`` these are the oracle's own numerators of
+(-p,) + comp (``oracle._scaled``), with w = sum(comp) and den = 1.  For the
+sums they are running sums of F(m) times a product of powers of harmonic
+sums, built from the oracle's numerators, with den = den(F) and w the weight
+of the product: each step multiplies the running sum by the oracle's sieve
+step r_m**w and adds one term, with no gcd or lcm (``_direct_weighted_sum``).
+The closed form gives its numerators over L(n)**top * D for top, the larger
+of w and its own largest weight (``ClosedForm._numerators``), and the direct
+numerators are lifted by L(n)**(top - w) when its weight is the larger.  A
+check then compares got[n] * den with nums[n] * D, one product of a big and
+a small int per side and n, and builds two ``Fraction``s only to print a
+failure.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate, repeat
 from operator import eq, mul
 
 from .closedform import ClosedForm
-from .oracle import _pair, _pairs, _scaled, _steps_upto
+from .oracle import _lcm_upto, _pair, _scaled, _steps_upto
 from .polynomial import Polynomial, _horner
 from .reducer import reduce, reduce_direct
 from .stuffle import composition_key
@@ -93,18 +101,24 @@ def _forms_agree(what: str, a: ClosedForm, b: ClosedForm):
 
 
 def _matches_direct(closed: ClosedForm, direct, max_n: int):
-    """Compare the closed form's value with the pair of int lists ``direct``
-    (nums[n] / dens[n], dens[n] > 0) at n = 0..max_n, by cross
-    multiplication; max_n = 0 means "check nothing", an explicitly empty
-    evaluation range."""
+    """Compare the closed form's value with ``direct`` = (nums, w, den), the
+    values nums[n] / (den * L(n)**w) for L(n) = lcm(1..n), at n = 0..max_n:
+    both sides are brought to numerators over L(n)**top, top the larger
+    weight, and each is multiplied by the other's constant denominator.
+    max_n = 0 means "check nothing", an explicitly empty evaluation range."""
     if max_n > 0:
-        nums, dens = direct
-        ratios = closed._ratios(0, max_n)
-        got_nums, got_dens = zip(*ratios)
-        same = list(map(eq, map(mul, got_nums, dens), map(mul, nums, got_dens)))
+        nums, w, den = direct
+        top = max(w, closed._weight)
+        got, D = closed._numerators(0, max_n, top)
+        if top > w:  # lift the direct side to L(n)**top
+            steps = _steps_upto(max_n)[1 : max_n + 1]
+            lift = accumulate((r ** (top - w) for r in steps), mul, initial=1)
+            nums = list(map(mul, nums, lift))
+        same = list(map(eq, map(mul, got, repeat(den)), map(mul, nums, repeat(D))))
         if not all(same):
             n = same.index(False)
-            got, want = Fraction(*ratios[n]), Fraction(nums[n], dens[n])
+            scale = _lcm_upto(n) ** top
+            got, want = Fraction(got[n], scale * D), Fraction(nums[n], scale * den)
             return False, f"n={n}: closed {got} != direct {want}"
     return True, ""
 
@@ -112,25 +126,30 @@ def _matches_direct(closed: ClosedForm, direct, max_n: int):
 def _direct_weighted_sum(F: Polynomial, factors, max_n: int, start: int):
     """Running values of sum_{m=start..n} F(m) * prod H_{m-start}(comp)**e
     over the (composition, exponent) pairs ``factors`` of proper
-    compositions, as a pair of int lists (nums, dens) for n = 0..max_n.
-    With j = n - start, dens[n] = den(F) * L(j)**w for the weight w of the
-    product, and each term is F's row at m times the oracle's numerators."""
-    den, row = F._den, F._ints
+    compositions, as (nums, w, den) for ``_matches_direct``: the value at n
+    is nums[n] / (den(F) * L(n)**w), for n = 0..max_n and w the weight of
+    the product.  Each term is F's row at m times the oracle's numerators,
+    over L(m - start)**w; with start = 1 the step at m brings the sum up to
+    L(m)**w by r_m**w."""
+    row = F._ints
     tables = [(_scaled(0, max_n, comp), e) for comp, e in factors]
     w = sum(sum(comp) * e for comp, e in factors)
-    nums, dens = [0] * start, [den] * start
+    steps = _steps_upto(max_n)
+    nums = [0] * start
     acc = 0
-    for j, r in enumerate(_steps_upto(max_n)[: max_n + 1 - start]):
-        if r > 1:
-            acc *= r**w
-            den *= r**w
-        term = _horner(row, j + start)
+    for m in range(start, max_n + 1):
+        term = _horner(row, m)
         for values, e in tables:
-            term *= values[j] ** e
-        acc += term
+            term *= values[m - start] ** e
+        r = steps[m]
+        if r == 1:
+            acc += term
+        elif start:
+            acc = (acc + term) * r**w
+        else:
+            acc = acc * r**w + term
         nums.append(acc)
-        dens.append(den)
-    return nums, dens
+    return nums, w, F._den
 
 
 def reduce_suite_checks(max_n: int):
@@ -140,7 +159,7 @@ def reduce_suite_checks(max_n: int):
         for comp in comps:
 
             def check(p=p, comp=comp):
-                direct = _pairs(max_n, (-p,) + comp)
+                direct = _scaled(0, max_n, (-p,) + comp), sum(comp), 1
                 return _matches_direct(reduce(p, comp), direct, max_n)
 
             checks.append((f"reduce p={p} comp={_comp_str(comp)} oracle", check))

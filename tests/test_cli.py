@@ -416,7 +416,7 @@ def test_direct_weighted_sum_matches_fraction_sums(coeffs, t, start, max_n):
     h = {comp: [mhs_eval(n, comp) for n in range(max_n + 1)] for comp in comps}
     # H(2,1)**t alone, and times H(3)**2
     for factors in ([((2, 1), t)], [((2, 1), t), ((3,), 2)]):
-        nums, dens = verify._direct_weighted_sum(F, factors, max_n, start)
+        nums, w, den = verify._direct_weighted_sum(F, factors, max_n, start)
         acc, want = Fraction(0), []
         for n in range(max_n + 1):
             if n >= start:
@@ -425,12 +425,12 @@ def test_direct_weighted_sum_matches_fraction_sums(coeffs, t, start, max_n):
                     term *= h[comp][n - start] ** e
                 acc += term
             want.append(acc)
-        # over den(F) * lcm(1..n - start)**w, w the weight of the product
-        w = sum(sum(comp) * e for comp, e in factors)
-        assert dens == [
-            F._den * math.lcm(*range(1, n - start + 1)) ** w for n in range(max_n + 1)
-        ]
-        assert [Fraction(a, b) for a, b in zip(nums, dens)] == want
+        # over den(F) * lcm(1..n)**w, w the weight of the product
+        assert (w, den) == (sum(sum(comp) * e for comp, e in factors), F._den)
+        assert [
+            Fraction(a, den * math.lcm(*range(1, n + 1)) ** w)
+            for n, a in enumerate(nums)
+        ] == want
 
 
 def test_reduce_json_is_valid(capsys):
@@ -814,6 +814,38 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5/2"
+
+
+@pytest.mark.parametrize(
+    "argv, keep",
+    [
+        # a 2 MB result, far past what the pipe holds
+        (["reduce", "-p", "60", "--comp=" + ",".join("1" * 40), "--format=json"], 10),
+        # 12.7 kB, which the pipe would hold: the reader leaves before the
+        # first 8 kB flush, so that no timing decides the outcome
+        (["verify", "--suite", "all", "--max-n", "25"], 0),
+        # a line that stays buffered until main flushes it, after the reader left
+        (["reduce", "-p", "3", "--comp", "1,2"], 0),
+    ],
+)
+def test_a_closed_stdout_ends_in_one_error_line(argv, keep):
+    # the reader takes a few bytes, or none, and closes the pipe, as `| head`
+    # does: exit 2, not 1 (a failed check) or 0 (checks that never ran).
+    # stdout is block-buffered, as in a shell pipeline without PYTHONUNBUFFERED.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mhsums", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(keep)) == keep
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert "Traceback" not in err
+    assert err == "error: standard output closed before the output ended\n"
 
 
 def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):

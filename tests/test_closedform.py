@@ -184,14 +184,91 @@ def test_ratios_match_the_horner_reference(d):
 
 def test_a_mismatch_names_the_first_failing_n():
     form = ClosedForm({(): x**3 - 2, (2, 1): Fraction(1, 5) * x})
-    nums, dens = map(list, zip(*form._ratios(0, 30)))
-    assert verify._matches_direct(form, (nums, dens), 30) == (True, "")
+    nums, den = form._numerators(0, 30, 3)
+    assert verify._matches_direct(form, (nums, 3, den), 30) == (True, "")
     for n in (9, 30):
-        nums[n] += dens[n]
+        nums[n] += den * math.lcm(*range(1, n + 1)) ** 3
     got, want = form.eval(9), form.eval(9) + 1
-    assert verify._matches_direct(form, (nums, dens), 30) == (
+    assert verify._matches_direct(form, (nums, 3, den), 30) == (
         False, f"n=9: closed {got} != direct {want}"
     )
+
+
+@pytest.mark.parametrize("d", range(9))
+def test_numerators_are_the_horner_reference_over_any_top(d):
+    # C(n) = nums[n - lo] / (L**top * D) for every top >= W: past W, each
+    # numerator is the reference's times L**(top - W)
+    for form in forms_of_degree(d):
+        top_weight = max(sum(comp) for comp in form._terms)
+        den = math.lcm(*[poly._den for poly in form._terms.values()])
+        for lo in (0, 1, 7):
+            for hi in (lo, lo + d + 1, 60):
+                want = horner_ratios(form, lo, hi)
+                for top in (top_weight, top_weight + 2):
+                    lift = [RUNNING[n] ** (top - top_weight) for n in range(lo, hi + 1)]
+                    nums = [num * k for (num, _), k in zip(want, lift)]
+                    assert form._numerators(lo, hi, top) == (nums, den), (lo, hi, top)
+    assert ClosedForm()._numerators(7, 9, 2) == ([0, 0, 0], 1)
+
+
+def lighter(form, w):
+    """form without its terms of weight w or more."""
+    return ClosedForm({c: p for c, p in form._terms.items() if sum(c) < w})
+
+
+def test_a_lighter_or_zero_form_prints_the_values_in_lowest_terms():
+    # W < w: the form is read over L(n)**w, the direct side as it is
+    form = ClosedForm({(): x**3 - 2, (2, 1): Fraction(1, 5) * x})
+    nums, den = form._numerators(0, 30, 5)
+    assert verify._matches_direct(form, (nums, 5, den), 30) == (True, "")
+    nums[13] += den * RUNNING[13] ** 5
+    got, want = form.eval(13), form.eval(13) + 1
+    assert verify._matches_direct(form, (nums, 5, den), 30) == (
+        False, f"n=13: closed {got} != direct {want}"
+    )
+    # reduce's forms and the sums' forms without their heaviest terms, and
+    # the zero form, against the suites' direct sides: the messages of the
+    # cross-multiplied comparison that came before
+    for p, comp, light, zero in (
+        (2, (2, 1), "n=2: closed -5/4 != direct 0", "n=3: closed 0 != direct 9/4"),
+        (0, (1, 1, 1), "n=3: closed -1/2 != direct 0", "n=4: closed 0 != direct 1/6"),
+        (5, (3,), "n=1: closed -1 != direct 0", "n=2: closed 0 != direct 32"),
+    ):
+        direct = oracle._scaled(0, 30, (-p,) + comp), sum(comp), 1
+        form = lighter(reduce(p, comp), sum(comp))
+        assert verify._matches_direct(form, direct, 30) == (False, light)
+        assert verify._matches_direct(ClosedForm(), direct, 30) == (False, zero)
+    F = Polynomial((2, -5, 3))
+    for route, start, light, zero in (
+        (sum_power, 1, "n=2: closed -5 != direct 4", "n=2: closed 0 != direct 4"),
+        (sum_power_shifted, 0, "n=1: closed -2 != direct 0",
+         "n=2: closed 0 != direct 9"),
+    ):
+        direct = verify._direct_weighted_sum(F, [((1,), 2)], 30, start)
+        form = lighter(route(F, 2), 2)
+        assert verify._matches_direct(form, direct, 30) == (False, light)
+        assert verify._matches_direct(ClosedForm(), direct, 30) == (False, zero)
+
+
+def test_a_heavier_form_lifts_the_direct_side():
+    # W = 3 > w = 1: the direct numerators are brought to L(n)**3 at n itself.
+    # The weight-3 term vanishes at n = 0..5, so up to 5 the values agree.
+    base = ClosedForm({(): x**3 - 2, (1,): x / 7})
+    nums, den = base._numerators(0, 6, 1)
+    vanishing = math.prod([x - i for i in range(6)], start=Polynomial.constant(1))
+    heavier = base + ClosedForm({(2, 1): vanishing / 3})
+    assert verify._matches_direct(heavier, (nums, 1, den), 5) == (True, "")
+    got, want = heavier.eval(6), base.eval(6)
+    assert verify._matches_direct(heavier, (nums, 1, den), 6) == (
+        False, f"n=6: closed {got} != direct {want}"
+    )
+
+
+def test_an_empty_range_checks_nothing():
+    # max_n = 0: nothing is compared, whatever the direct side says
+    for form in (ClosedForm(), ClosedForm({(): x + 1, (2,): x})):
+        assert verify._matches_direct(form, ([5], 0, 1), 0) == (True, "")
+        assert verify._matches_direct(form, ([5], 3, 7), 0) == (True, "")
 
 
 # a bare polynomial; weights 0, 3 and 5 only; weights 1, 2 and 4, with a
