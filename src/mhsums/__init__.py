@@ -18,7 +18,7 @@ from .bernoulli import umbral_eval
 from .closedform import ClosedForm
 from .oracle import _lcm_upto, harmonic, is_proper, mhs_eval, mhs_values
 from .polynomial import Polynomial, discrete_sum
-from .reducer import _c_poly, _reduce, c_poly
+from .reducer import _c_poly, _faulhaber_rows, _reduce, c_poly
 from .reducer import d_umbral, faulhaber, reduce, reduce_direct
 from .stuffle import _expand_power, _stuffle, composition_key, expand_power
 from .stuffle import product_combinations, stuffle
@@ -41,6 +41,7 @@ _MEMOS = (
     faulhaber,
     _c_poly,
     _reduce,
+    _faulhaber_rows,
     _bernoulli_ints,
     _stuffle,
     _expand_power,
@@ -49,7 +50,7 @@ _MEMOS = (
 
 
 def clear_caches() -> None:
-    """Empty every memo and table: the seven ``lru_cache`` memos (three of
+    """Empty every memo and table: the eight ``lru_cache`` memos (four of
     the reducer, the Bernoulli numbers as ints, two of the stuffle and the
     oracle's lcm(1..n)), the oracle's tables and its sieve of lcm steps
     (which closed-form evaluation reads too) and the shared Bernoulli table.

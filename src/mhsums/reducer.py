@@ -66,8 +66,13 @@ reads B_0..B_h once, as ints over their lcm (``bernoulli._bernoulli_ints``,
 re-exported here), the one table that ``faulhaber`` and umbral evaluation
 read too.  ``c_poly`` and ``faulhaber`` hand their rows to
 ``Polynomial`` as they are; ``reduce_direct`` adds its states to the
-accumulator as ints, and the walk its power sums (``_power_sum``), which
-add Faulhaber's rows over their lcm.
+accumulator as ints, and the walk its power sums (``_power_sum``).  A power
+sum of degree d reads one memoized table, ``_faulhaber_rows(d)``: Faulhaber's
+rows for every q <= d as ints over their lcm, so a weight's power sum is
+g * row q added for each nonzero g and reduced by one gcd, and a monomial
+weight, as ``reduce``'s first state m**p, is one row times g.  The table
+holds ``faulhaber``'s own rows, not the chain helper's.  The first edge into
+a state writes its row as factor * S; later edges merge into it.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ from itertools import accumulate
 from .bernoulli import _bernoulli_ints, umbral_eval
 from .closedform import ClosedForm, _Accumulator
 from .oracle import is_proper
-from .polynomial import Polynomial, _muladd, _muladd_over, _reduced
+from .polynomial import Polynomial, _muladd_over, _reduced
 
 __all__ = ["faulhaber", "c_poly", "d_umbral", "reduce", "reduce_direct"]
 
@@ -195,6 +200,19 @@ def _reduce(p: int, comp: "tuple[int, ...]") -> ClosedForm:
     return out.freeze()
 
 
+# Faulhaber's rows for every q <= d, the one table of the walk's weights of
+# degree d: row q holds faulhaber(q)'s coefficients of x**1, ..., x**(q + 1)
+# (its constant term is 0) as ints over the lcm of the rows' denominators.
+# The tables for every d <= 101 (cli.MAX_DEGREE + 1) hold about 6.5 MB.
+@lru_cache(maxsize=None)
+def _faulhaber_rows(d: int) -> "tuple[int, tuple[tuple[int, ...], ...]]":
+    polys = [faulhaber(q) for q in range(d + 1)]
+    fden = math.lcm(*[poly._den for poly in polys])
+    return fden, tuple(
+        tuple([c * (fden // poly._den) for c in poly._ints[1:]]) for poly in polys
+    )
+
+
 def _power_sum(G: "list[int]", den: int) -> "tuple[list[int], int]":
     """The power sum of the weight with ascending coefficients G / den, for
     ints G, from Faulhaber's polynomials: its ascending coefficients as ints
@@ -202,11 +220,16 @@ def _power_sum(G: "list[int]", den: int) -> "tuple[list[int], int]":
     terms = [(q, g) for q, g in enumerate(G) if g]
     if not terms:
         return [], 1
-    rows = [faulhaber(q) for q, _ in terms]
-    fden = math.lcm(*[row._den for row in rows])
-    total: "list[int]" = []
-    for (_, g), row in zip(terms, rows):
-        _muladd(total, row._ints, (g * (fden // row._den),))
+    top = terms[-1][0]
+    fden, rows = _faulhaber_rows(top)
+    if len(terms) == 1:  # a monomial, as reduce's first state m**p
+        g = terms[0][1]
+        total = [0] + [g * c for c in rows[top]]
+    else:
+        total = [0] * (top + 2)
+        for q, g in terms:
+            for i, c in enumerate(rows[q], 1):
+                total[i] += g * c
     den *= fden
     g = math.gcd(den, *total)
     if g > 1:
@@ -231,7 +254,11 @@ def _by_parts(out, weight: Polynomial, states, edges, K) -> None:
         S, den = _power_sum(G[K:], den)
         out.add_ints(v, S, den)
         for w, factor, J in edges(v):
-            _muladd_over(rows.setdefault(w, [den, []]), [0] * (K - J) + S, den, factor)
+            entry = rows.get(w)
+            if entry is None:  # the first edge into w writes its row
+                rows[w] = [den, [0] * (K - J) + [factor * s for s in S]]
+            else:
+                _muladd_over(entry, [0] * (K - J) + S, den, factor)
 
 
 def reduce_direct(p: int, comp: "tuple[int, ...]") -> ClosedForm:

@@ -4,8 +4,11 @@ For every upper limit n, H_n(a) * H_n(b) expands into the combination
 produced by ``stuffle(a, b)``: recursively, either composition's leading
 entry goes first, or the two leading entries merge into their sum.
 Products of basis compositions only ever have positive integer
-coefficients; the cached products keep them as ints, which multiply and add
-faster than ``Fraction``, and every public function returns exact rationals.
+coefficients; the cached products, of two compositions (``_stuffle``) and
+the powers H(k)**t (``_expand_power``), keep them as ints, which multiply
+and add faster than ``Fraction``, and every public function returns exact
+rationals.  ``_product`` is the one bilinear product behind both the public
+``product_combinations`` and the int expansions of ``mhsums.sums``.
 """
 
 from __future__ import annotations
@@ -72,25 +75,28 @@ def product_combinations(
     a: "dict[tuple[int, ...], Fraction]", b: "dict[tuple[int, ...], Fraction]"
 ) -> "dict[tuple[int, ...], Fraction]":
     """Bilinear extension of the stuffle product to combinations."""
-    out: "dict[tuple[int, ...], Fraction | int]" = {}
+    a = [(tuple(ka), _integral(ca)) for ka, ca in a.items() if ca]
     b = [(tuple(kb), _integral(cb)) for kb, cb in b.items() if cb]
-    for ka, ca in a.items():
-        if not ca:
-            continue
-        ka, ca = tuple(ka), _integral(ca)
+    return {comp: Fraction(v) for comp, v in _product(a, b).items() if v}
+
+
+def _product(a, b) -> "dict[tuple[int, ...], int]":
+    """The stuffle product of two combinations given as (composition,
+    coefficient) pairs, as a dict; int coefficients give int products."""
+    out: "dict[tuple[int, ...], int]" = {}
+    for ka, ca in a:
         for kb, cb in b:
             scale = ca * cb
             for comp, c in _stuffle(ka, kb):
                 out[comp] = out.get(comp, 0) + scale * c
-    return {comp: Fraction(v) for comp, v in out.items() if v}
+    return out
 
 
 @lru_cache(maxsize=None)
 def _expand_power(k: int, t: int):
     if t == 0:
-        return (((), Fraction(1)),)
-    prev = dict(_expand_power(k, t - 1))
-    return tuple(product_combinations(prev, {(k,): Fraction(1)}).items())
+        return (((), 1),)
+    return tuple(_product(_expand_power(k, t - 1), (((k,), 1),)).items())
 
 
 def expand_power(k: int, t: int) -> "dict[tuple[int, ...], Fraction]":
@@ -99,4 +105,4 @@ def expand_power(k: int, t: int) -> "dict[tuple[int, ...], Fraction]":
         raise ValueError("the base order must be a positive integer")
     if not isinstance(t, int) or t < 0:
         raise ValueError("the power must be a nonnegative integer")
-    return dict(_expand_power(k, t))
+    return {comp: Fraction(c) for comp, c in _expand_power(k, t)}

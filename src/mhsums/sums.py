@@ -15,7 +15,13 @@ sum under the key v and its tails c m**-r under (r,) + v.  One expander,
 ``_Products``, flattens every H_n-power product here (the levels,
 ``structured_to_closed``, and the F(n) H_n**t terms of ``sum_power_shifted``
 and ``structure_check``): it puts a key's head before each composition of
-its state's product, which the stuffle expands once per state.
+its state's product, which the stuffle expands once per state, from the
+state without its last order, as int pairs (``stuffle._expand_power`` and
+``stuffle._product``).  Each composition's row goes straight into the
+accumulator: a new row is c times the block's ints over its denominator, and
+a row already there merges by one ``_muladd_over``.  The products live as
+long as the request; a memo of them for the life of the process would keep
+every request's products.
 ``sum_power_shifted`` handles the H_m (unshifted-argument) variant via
 sum_{m=0..n} F(m) H_m**t = F(n) H_n**t + sum_{m=1..n} F(m-1) H_{m-1}**t.
 
@@ -44,7 +50,7 @@ from .bernoulli import bernoulli, umbral_eval
 from .closedform import ClosedForm, _Accumulator
 from .polynomial import Polynomial, _muladd_over, _reduced, discrete_sum
 from .reducer import _by_parts, _c_poly, _check_power, d_umbral, faulhaber
-from .stuffle import expand_power, product_combinations
+from .stuffle import _expand_power, _product
 
 __all__ = [
     "sum_power",
@@ -128,20 +134,26 @@ class _Products:
 
     def __init__(self, out: _Accumulator, orders):
         self._out, self._orders = out, orders
-        self._combs = {(0,) * len(orders): {(): Fraction(1)}}  # state -> product
+        self._combs = {(0,) * len(orders): (((), 1),)}  # state -> int product
 
     def add_ints(self, key, nums, den: int) -> None:
         cut = len(key) - len(self._orders)
-        for comp, c in self._comb(key[cut:]).items():
-            self._out.add_ints(key[:cut] + comp, nums, den, c)
+        head, rows = key[:cut], self._out._rows
+        for comp, c in self._comb(key[cut:]):
+            comp = head + comp
+            entry = rows.get(comp)
+            if entry is None:
+                rows[comp] = [den, [c * x for x in nums]]
+            else:
+                _muladd_over(entry, nums, den, c)
 
     def _comb(self, v):
         if v not in self._combs:
             i = max(i for i, e in enumerate(v) if e)  # v's last order
-            comb = expand_power(self._orders[i], v[i])
+            comb = _expand_power(self._orders[i], v[i])
             rest = v[:i] + (0,) * (len(v) - i)
             if any(rest):  # the state without its last order, times this
-                comb = product_combinations(self._comb(rest), comb)
+                comb = tuple(_product(self._comb(rest), comb).items())
             self._combs[v] = comb
         return self._combs[v]
 

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mhsums
 from mhsums.bernoulli import bernoulli, umbral_eval
+from mhsums.cli import MAX_DEGREE
 from mhsums.closedform import ClosedForm, _Accumulator
 from mhsums.oracle import mhs_eval, mhs_values
 from mhsums.polynomial import Polynomial, _muladd, _reduced, discrete_sum
@@ -547,6 +549,38 @@ def test_power_sum_matches_faulhaber_rows(G):
     assert [bool(c) for c in S] == [bool(c) for c in reference]
     # reduced by one gcd: numerators and denominator are coprime
     assert sden >= 1 and gcd(sden, *S) == 1
+
+
+def test_power_sum_reads_one_table_per_degree():
+    # a monomial at every degree a walk reaches (a --comp entry adds one), the
+    # zero rows, sparse rows and rows over den > 1, from empty memos in
+    # descending and then in ascending degree: each degree's table of
+    # Faulhaber's rows gives the same sums as the rows one by one
+    cases = [([0] * q + [(-1) ** q * (q + 1)], 1 + q % 3 * 5) for q in range(MAX_DEGREE + 2)]
+    cases += [([], 1), ([0], 7), ([0, 0, 0], 1)]
+    cases += [
+        ([0, 0, 5, 0, 0, 0, -7], 1),
+        ([3, 0, 0], 4),
+        ([1] + [0] * 40 + [-2] + [0] * 58 + [3], 2**40 * 3),
+        ([0, 6, 0, 10, 0, 0, 0, 0, 15], 30),
+        (list(range(-12, 13)), 360),
+    ]
+
+    def reference(G, den):
+        out: list = []
+        for q, g in enumerate(G):
+            if g:
+                _muladd(out, faulhaber(q).coeffs, (Fraction(g, den),))
+        return out
+
+    for order in (sorted(cases, key=len, reverse=True), sorted(cases, key=len)):
+        mhsums.clear_caches()
+        for G, den in order:
+            S, sden = _power_sum(G, den)
+            assert [Fraction(c, sden) for c in S] == reference(G, den), (G, den)
+            assert sden >= 1 and gcd(sden, *S) == 1
+            if not any(G):
+                assert (S, sden) == ([], 1)
 
 
 def test_built_rows_hold_fractions():

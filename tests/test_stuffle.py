@@ -9,9 +9,10 @@ import mhsums
 from mhsums import oracle
 from mhsums.bernoulli import _SHARED
 from mhsums.bernoulli import _bernoulli_ints as table_ints
+from mhsums.cli import MAX_POWER
 from mhsums.oracle import _cache, _lcm_upto, mhs_eval
 from mhsums.polynomial import Polynomial
-from mhsums.reducer import _bernoulli_ints, _c_poly, _reduce, faulhaber
+from mhsums.reducer import _bernoulli_ints, _c_poly, _faulhaber_rows, _reduce, faulhaber
 from mhsums.stuffle import (
     _expand_power,
     _stuffle,
@@ -59,6 +60,22 @@ def test_expand_power_trivial_cases():
     assert expand_power(1, 0) == {(): Fraction(1)}
     assert expand_power(2, 1) == {(2,): Fraction(1)}
     assert expand_power(2, 2) == {(2, 2): Fraction(2), (4,): Fraction(1)}
+
+
+def test_expand_power_memo_holds_ints():
+    # the memo keeps int pairs, in the order and with the values of the
+    # Fraction products it was built from before; expand_power hands out
+    # Fractions
+    for k in range(1, 5):
+        for t in range(MAX_POWER + 1):
+            pairs = _expand_power(k, t)
+            assert all(type(c) is int and c > 0 for _, c in pairs)
+            public = expand_power(k, t)
+            assert list(public.items()) == list(pairs)
+            assert all(type(c) is Fraction for c in public.values())
+            if t:
+                step = product_combinations(expand_power(k, t - 1), {(k,): Fraction(1)})
+                assert list(step.items()) == list(pairs)
 
 
 def test_rejects_improper():
@@ -146,6 +163,7 @@ def test_clear_caches_empties_every_memo():
         faulhaber,
         _c_poly,
         _reduce,
+        _faulhaber_rows,
         _bernoulli_ints,
         _stuffle,
         _expand_power,
@@ -156,7 +174,7 @@ def test_clear_caches_empties_every_memo():
     assert all(memo.cache_info().currsize for memo in memos) and _cache
     assert len(oracle._steps) > 30
     mhsums.clear_caches()
-    assert [memo.cache_info().currsize for memo in memos] == [0] * 7
+    assert [memo.cache_info().currsize for memo in memos] == [0] * 8
     assert _cache == {}
     assert oracle._steps == [1, 1]
     assert _SHARED._minus == [1]

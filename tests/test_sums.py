@@ -250,6 +250,23 @@ def test_sum_product_matches_fraction_levels(weight, factors):
     assert all(type(c) is Fraction for _, p in form.terms for c in p.coeffs)
 
 
+@pytest.mark.parametrize(
+    "weight, factors",
+    [
+        ((0, 1), [(1, 2), (2, 1)]),
+        ((Fraction(1, 3), 0, -2, 5), [(2, 2), (4, 2)]),
+        ((1, -1, 1), [(1, 1), (2, 1), (3, 1)]),
+        ((Fraction(-7, 2), 3), [(1, 2), (2, 1), (3, 2)]),
+        ((0, 0, 0, 1), [(1, 3), (2, 3), (3, 2)]),
+    ],
+)
+def test_sum_product_of_two_and_three_orders_matches_fraction_levels(weight, factors):
+    # every state's product is built from its parent's by one int stuffle
+    # product, and each composition of it is written into the accumulator
+    form = sum_product(Polynomial(weight), factors)
+    assert coefficient_map(form) == fraction_levels(weight, tuple(factors))
+
+
 def test_levels_edge_cases():
     # a zero weight adds nothing; t = 0 is the power sum alone
     for powers in (((1, 0),), ((1, 3),), ((2, 1), (3, 2))):
