@@ -95,6 +95,8 @@ def umbral_eval(P: Polynomial, convention: Convention = "plus") -> Fraction:
     ``_bernoulli_ints``; the minus value is the plus value less c_1.
     """
     _check_convention(convention)
+    if not isinstance(P, Polynomial):
+        raise TypeError("umbral_eval takes a Polynomial")
     ints = P._ints
     bden, brow = _bernoulli_ints(len(ints) - 1)
     num = sum(map(operator.mul, ints, brow))

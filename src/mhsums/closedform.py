@@ -21,10 +21,9 @@ Evaluation reads the polynomials' rows over D, the lcm of their
 denominators, and one known denominator per weight: with L = lcm(1..n),
 the denominator of H_n(comp) divides L**w for w = sum(comp).  The direct
 evaluator keeps each table's values as numerators over L**w and hands out
-a slice of them (``oracle._scaled``); ``_ratios`` takes lcm(1..lo) from
-the oracle (``oracle._lcm_upto``) and each next L as the last one times
-the step r_n of the oracle's sieve (``oracle._steps_upto``).  Over the
-column of n, each coefficient of degree d takes its values as ints from
+a slice of them (``oracle._scaled``), and every column of powers L**k over
+a range of n comes from it too (``oracle._lcm_powers``).  Over the column
+of n, each coefficient of degree d takes its values as ints from
 Horner's scheme at the first d + 1 points and, past them, from forward
 differences: its d-th difference is constant, and each lower difference
 column is one running sum of the next (Knuth, TAOCP vol. 2, 4.6.4).  Their
@@ -32,9 +31,9 @@ products with the numerators sum per weight into S_w, and the weights
 combine by Horner's scheme in L up to any top at least W, the largest
 weight: the value is sum_w S_w * L**(top - w) over L**top * D
 (``_numerators``), with no gcd, lcm or division per term and n.
-``_ratios`` pairs the numerators at top = W with their denominators, one
-running product of the sieve's r_n**W, and ``values(max_n)`` and
-``eval(n)`` build one ``Fraction`` per pair.  ``verify`` reads the
+``_ratios`` pairs the numerators at top = W with their denominators, the
+column of L**W times D, and ``values(max_n)`` and ``eval(n)`` build one
+``Fraction`` per pair.  ``verify`` reads the
 numerators alone, at the larger of W and the direct side's weight, since
 both sides' denominators are known.
 
@@ -56,7 +55,7 @@ from itertools import accumulate, repeat
 from operator import add, mul, sub
 from typing import Iterable, Mapping, Union
 
-from .oracle import _lcm_upto, _scaled, _steps_upto, is_proper
+from .oracle import _lcm_powers, _scaled, is_proper
 from .polynomial import _FORMATS, Polynomial, _horner, _muladd, _muladd_over
 from .polynomial import _lowest, _reduced, _render, _row, join_signed
 from .stuffle import composition_key
@@ -221,10 +220,7 @@ class ClosedForm:
         docstring); a subrange gives the same pairs as the full range."""
         top = self._weight
         nums, den = self._numerators(lo, hi, top)
-        # the denominators L**W * D, one running product of the sieve's r**W
-        steps = _steps_upto(hi)[lo + 1 : hi + 1]
-        first = _lcm_upto(lo) ** top * den
-        dens = accumulate((r**top for r in steps), mul, initial=first)
+        dens = map(mul, _lcm_powers(lo, hi, top), repeat(den))
         return list(zip(nums, dens))
 
     @property
@@ -241,8 +237,7 @@ class ClosedForm:
             return [0] * (hi + 1 - lo), 1
         polys = self._terms.values()
         den = math.lcm(*[poly._den for poly in polys])
-        steps = _steps_upto(hi)[lo + 1 : hi + 1]
-        lcms = list(accumulate(steps, mul, initial=_lcm_upto(lo)))
+        lcms = _lcm_powers(lo, hi, 1)
         sums = {}  # weight -> the column of S_w over lo..hi
         for comp, poly in self._terms.items():
             col = _column(poly._ints, den // poly._den, lo, hi + 1 - lo)

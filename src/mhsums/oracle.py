@@ -10,9 +10,9 @@ Evaluation runs bottom-up over suffixes, the shortest first and without
 recursion: the table of H_m(suffix) for m = 0..n is built once per
 composition and cached, so a single evaluation costs O(n * depth) exact
 operations instead of a depth-deep nested loop, and repeated evaluations
-are lookups.  A table is one append-only list of ints, the values times
-L(m)**w, where L(m) = lcm(1..m) and w is the sum of the composition's
-positive entries: that power clears every denominator of H_m.
+are lookups.  A table, ``_cache[comp]``, is one append-only list of ints:
+the values times L(m)**w, with L(m) = lcm(1..m) and w (``_weight``) the sum
+of the positive entries, which clears every denominator of H_m.
 
 Every L(m) here and in its readers comes from one rule, L(m) = L(m-1) * r_m,
 where r_m is the prime p when m is a power of p and 1 otherwise.  One sieve
@@ -24,19 +24,20 @@ With r = r_m, a step of a table is
 
 for the first entry k and the tail's table T, with no gcd and no division
 but the exact one by the small m**k; L(m)**k changes only at prime powers.
-lcm(1..n) itself is the product of the sieve's r_m > 1 (``_lcm_upto``).
-This module shares no arithmetic with the reducer, the sums or
-``polynomial``: it stays an independent judge of their closed forms.
+lcm(1..n) itself is the product of the sieve's r_m > 1 (``_lcm_upto``), and
+each column L(lo)**k, ..., L(hi)**k a running product of r_m**k
+(``_lcm_powers``).  This module shares no arithmetic with the reducer, the
+sums or ``polynomial``: it stays an independent judge of their closed forms.
 
 Readers take lowest terms only at the boundary.  ``mhs_eval``, the
-``eval`` command and ``table`` read one point (``_pair``), reduced by one
-gcd against L(n)**w; ``mhs_values`` reads the numerators with their
-denominators L(m)**w (``_pairs``); closed-form evaluation and ``verify``
-read the numerators themselves (``_scaled``), also of the extended
-(-p,) + comp that ``reduce`` is checked against, and the sieve.  The
-tables and the sieve grow under one re-entrant lock, so they behave as if
-computed once even when shared between threads; an entry, once stored,
-never changes.
+``eval`` command and ``table`` read one point (``_pair``): the table's entry
+at n, reduced by one gcd against L(n)**w.  Every other reader takes a slice
+of the numerators (``_scaled``): ``mhs_values`` over the column of L(m)**w,
+and closed-form evaluation and ``verify``, also of the extended (-p,) + comp
+that ``reduce`` is checked against, over columns of their own.  The tables
+and the sieve grow under one re-entrant lock, so they behave as if computed
+once even when shared between threads; an entry, once stored, never
+changes.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from math import gcd, isqrt, prod
 from operator import mul
 
@@ -60,21 +61,7 @@ __all__ = [
 Composition = "tuple[int, ...]"
 
 
-class _Table:
-    """H_m(comp) * lcm(1..m)**weight = nums[m], an int, for m < len(table),
-    where weight is the sum of comp's positive entries."""
-
-    __slots__ = ("nums", "weight")
-
-    def __init__(self, comp: "tuple[int, ...]"):
-        self.nums = [0 if comp else 1]
-        self.weight = sum(k for k in comp if k > 0)
-
-    def __len__(self) -> int:
-        return len(self.nums)
-
-
-_cache: "dict[tuple[int, ...], _Table]" = {}
+_cache: "dict[tuple[int, ...], list[int]]" = {}  # comp -> H_m(comp) * L(m)**w
 _lock = threading.RLock()
 _steps = [1, 1]  # the sieve: _steps[m] = r_m = lcm(1..m) / lcm(1..m-1)
 
@@ -121,24 +108,30 @@ def check_extended(comp: "tuple[int, ...]") -> None:
         )
 
 
-def _values(comp: "tuple[int, ...]", n: int) -> _Table:
+def _weight(comp: "tuple[int, ...]") -> int:
+    """w, the sum of the composition's positive entries."""
+    return sum(k for k in comp if k > 0)
+
+
+def _values(comp: "tuple[int, ...]", n: int) -> "list[int]":
     with _lock:
-        table = _cache.get(comp)
-        if table is not None and len(table) > n:
-            return table
+        nums = _cache.get(comp)
+        if nums is not None and len(nums) > n:
+            return nums
         # back to front: the table of comp[i:] needs its values up to n - i
         for i in range(min(len(comp), n + 1), -1, -1):
-            tail, suffix = table, comp[i:]
-            table = _cache.get(suffix)
-            if table is None:
-                table = _cache[suffix] = _Table(suffix)
-            nums, top = table.nums, n - i + 1
+            tnums, suffix = nums, comp[i:]
+            nums = _cache.get(suffix)
+            if nums is None:
+                nums = _cache[suffix] = [0 if suffix else 1]
+            top = n - i + 1
             if len(nums) >= top:
                 continue
             if not suffix:
                 nums.extend([1] * (top - len(nums)))
                 continue
-            k, w, tw, tnums = suffix[0], table.weight, tail.weight, tail.nums
+            k, w = suffix[0], _weight(suffix)
+            tw = w - max(k, 0)
             a, start = nums[-1], len(nums)
             # L(start - 1)**k, unmemoized: the memo keeps the n ``table`` reads
             power = _lcm_upto.__wrapped__(start - 1) ** k if k > 0 else 1
@@ -155,7 +148,7 @@ def _values(comp: "tuple[int, ...]", n: int) -> _Table:
                 else:
                     a += c
                 nums.append(a)
-        return table
+        return nums
 
 
 def _checked(n: int, comp: "tuple[int, ...]") -> "tuple[int, ...]":
@@ -169,27 +162,17 @@ def _checked(n: int, comp: "tuple[int, ...]") -> "tuple[int, ...]":
 
 def _pair(n: int, comp: "tuple[int, ...]") -> "tuple[int, int]":
     """H_n(comp) as (numerator, denominator > 0) in lowest terms."""
-    table = _values(_checked(n, comp), n)
-    num, den = table.nums[n], _lcm_upto(n) ** table.weight
+    comp = _checked(n, comp)
+    num, den = _values(comp, n)[n], _lcm_upto(n) ** _weight(comp)
     g = gcd(num, den)
     return num // g, den // g
-
-
-def _pairs(n: int, comp: "tuple[int, ...]") -> "tuple[list[int], list[int]]":
-    """H_m(comp) = nums[m] / dens[m] for m = 0..n, with dens[m] =
-    lcm(1..m)**w, not in lowest terms.  nums is the table's own list: it may
-    run past n, and readers must not change it."""
-    table = _values(_checked(n, comp), n)
-    w = table.weight
-    steps = islice(_steps_upto(n), 1, n + 1)
-    return table.nums, list(accumulate((r**w for r in steps), mul, initial=1))
 
 
 def _scaled(lo: int, hi: int, comp: "tuple[int, ...]") -> "list[int]":
     """H_m(comp) * lcm(1..m)**w for m = lo..hi, as ints, for a composition
     whose positive entries sum to w, proper or extended: a slice of its
     table."""
-    return _values(comp, hi).nums[lo : hi + 1]
+    return _values(comp, hi)[lo : hi + 1]
 
 
 @lru_cache(maxsize=1)
@@ -200,10 +183,18 @@ def _lcm_upto(n: int) -> int:
     return prod(filter((1).__lt__, islice(_steps_upto(n), n + 1)))
 
 
+def _lcm_powers(lo: int, hi: int, k: int) -> "list[int]":
+    """[L(m)**k for m = lo..hi], lo <= hi, with L(m) = lcm(1..m): one
+    running product of the sieve's r_m**k from L(lo)**k."""
+    steps = map(pow, _steps_upto(hi)[lo + 1 : hi + 1], repeat(k))
+    return list(accumulate(steps, mul, initial=_lcm_upto(lo) ** k))
+
+
 def mhs_values(n: int, comp: "tuple[int, ...]") -> "list[Fraction]":
     """The list [H_0(comp), H_1(comp), ..., H_n(comp)]."""
-    nums, dens = _pairs(n, comp)
-    return [Fraction(a, b) for a, b in zip(nums[: n + 1], dens)]
+    comp = _checked(n, comp)
+    dens = _lcm_powers(0, n, _weight(comp))
+    return [Fraction(a, b) for a, b in zip(_scaled(0, n, comp), dens)]
 
 
 def mhs_eval(n: int, comp: "tuple[int, ...]") -> Fraction:

@@ -367,6 +367,8 @@ def discrete_sum(F: Polynomial) -> Polynomial:
     Bernoulli-number route (``mhsums.reducer.faulhaber``); the two are checked
     against each other in the tests.
     """
+    if not isinstance(F, Polynomial):
+        raise TypeError("discrete_sum takes a Polynomial")
     d = F.degree
     if d < 0:
         return F

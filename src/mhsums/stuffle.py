@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Mapping
 
 from .oracle import is_proper
+from .polynomial import _ratio
 
 __all__ = [
     "Combination",
@@ -34,9 +36,12 @@ def composition_key(comp: "tuple[int, ...]") -> "tuple[int, int, tuple[int, ...]
     return (sum(comp), len(comp), comp)
 
 
-def _check_proper(comp: "tuple[int, ...]") -> None:
+def _proper(comp) -> "tuple[int, ...]":
+    """The composition as a tuple, checked proper before a memo sees it."""
+    comp = tuple(comp)
     if not is_proper(comp):
         raise ValueError("stuffle is defined on proper compositions only")
+    return comp
 
 
 @lru_cache(maxsize=None)
@@ -60,24 +65,25 @@ def _stuffle(a: "tuple[int, ...]", b: "tuple[int, ...]"):
 
 def stuffle(a: "tuple[int, ...]", b: "tuple[int, ...]") -> "dict[tuple[int, ...], Fraction]":
     """Quasi-shuffle product of two proper compositions."""
-    a, b = tuple(a), tuple(b)
-    _check_proper(a)
-    _check_proper(b)
+    a, b = _proper(a), _proper(b)
     return {comp: Fraction(c) for comp, c in _stuffle(a, b)}
 
 
-def _integral(c):
-    """An integral Fraction as an int, which multiplies and adds faster."""
-    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+def _terms(comb: "Combination") -> list:
+    """(composition, coefficient) pairs of a combination's nonzero terms, each
+    key proper and each coefficient an int or ``Fraction`` (an int when
+    integral, which multiplies and adds faster)."""
+    if not isinstance(comb, Mapping):
+        raise TypeError(f"expected a combination, got {type(comb).__name__}")
+    pairs = [(_proper(comp), c, _ratio(c)) for comp, c in comb.items()]
+    return [(comp, a if b == 1 else c) for comp, c, (a, b) in pairs if a]
 
 
 def product_combinations(
     a: "dict[tuple[int, ...], Fraction]", b: "dict[tuple[int, ...], Fraction]"
 ) -> "dict[tuple[int, ...], Fraction]":
     """Bilinear extension of the stuffle product to combinations."""
-    a = [(tuple(ka), _integral(ca)) for ka, ca in a.items() if ca]
-    b = [(tuple(kb), _integral(cb)) for kb, cb in b.items() if cb]
-    return {comp: Fraction(v) for comp, v in _product(a, b).items() if v}
+    return {comp: Fraction(v) for comp, v in _product(_terms(a), _terms(b)).items() if v}
 
 
 def _product(a, b) -> "dict[tuple[int, ...], int]":

@@ -321,6 +321,8 @@ def _blocks(table, weight, den: int) -> "list[Polynomial]":
 
 def structured_to_closed(form: StructuredForm) -> ClosedForm:
     """Flatten a structured presentation into the basis of compositions."""
+    if not isinstance(form, StructuredForm):
+        raise TypeError("structured_to_closed takes a StructuredForm")
     out = _Accumulator()
     blocks = _Products(out, (1,) + form.extra_orders)
     ones = (1,) * len(form.extra_orders)

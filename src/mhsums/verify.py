@@ -15,21 +15,21 @@ of the product: each step multiplies the running sum by the oracle's sieve
 step r_m**w and adds one term, with no gcd or lcm (``_direct_weighted_sum``).
 The closed form gives its numerators over L(n)**top * D for top, the larger
 of w and its own largest weight (``ClosedForm._numerators``), and the direct
-numerators are lifted by L(n)**(top - w) when its weight is the larger.  A
-check then compares got[n] * den with nums[n] * D, one product of a big and
-a small int per side and n, and builds two ``Fraction``s only to print a
-failure.
+numerators are lifted by the column of L(n)**(top - w) from the oracle
+(``oracle._lcm_powers``) when its weight is the larger.  A check then
+compares got[n] * den with nums[n] * D, one product of a big and a small
+int per side and n, and builds two ``Fraction``s only to print a failure.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import eq, mul
 
 from .closedform import ClosedForm
-from .oracle import _lcm_upto, _pair, _scaled, _steps_upto
+from .oracle import _lcm_powers, _lcm_upto, _pair, _scaled, _steps_upto
 from .polynomial import Polynomial, _horner
 from .reducer import reduce, reduce_direct
 from .stuffle import composition_key
@@ -111,9 +111,7 @@ def _matches_direct(closed: ClosedForm, direct, max_n: int):
         top = max(w, closed._weight)
         got, D = closed._numerators(0, max_n, top)
         if top > w:  # lift the direct side to L(n)**top
-            steps = _steps_upto(max_n)[1 : max_n + 1]
-            lift = accumulate((r ** (top - w) for r in steps), mul, initial=1)
-            nums = list(map(mul, nums, lift))
+            nums = list(map(mul, nums, _lcm_powers(0, max_n, top - w)))
         same = list(map(eq, map(mul, got, repeat(den)), map(mul, nums, repeat(D))))
         if not all(same):
             n = same.index(False)

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mhsums
-from mhsums.oracle import _cache, _pair, _pairs, harmonic, is_proper, mhs_eval, mhs_values
+from mhsums import oracle
+from mhsums.oracle import _cache, _lcm_powers, _pair, harmonic, is_proper
+from mhsums.oracle import mhs_eval, mhs_values
 
 
 def brute(n, comp):
@@ -133,15 +135,14 @@ def assert_tables_scaled(comp, n):
     reference, lcms = {}, list(accumulate(range(1, n + 1), lcm, initial=1))
     for i in range(len(comp) + 1):
         suffix = comp[i:]
-        table = _cache.get(suffix)
-        if table is not None:
+        nums = _cache.get(suffix)
+        if nums is not None:
             w = sum(k for k in suffix if k > 0)
-            assert table.weight == w
-            top = min(n, len(table) - 1)
+            top = min(n, len(nums) - 1)
             want = fraction_values(suffix, top, reference)
             for m in range(top + 1):
-                assert type(table.nums[m]) is int
-                assert table.nums[m] == want[m] * lcms[m] ** w
+                assert type(nums[m]) is int
+                assert nums[m] == want[m] * lcms[m] ** w
 
 
 extended_comps = st.tuples(
@@ -155,8 +156,6 @@ def test_tables_match_fraction_tables(comp, n):
     want = fraction_values(comp, n, {})[: n + 1]
     assert mhs_values(n, comp) == want
     assert mhs_eval(n, comp) == want[n]
-    nums, dens = _pairs(n, comp)
-    assert [Fraction(a, b) for a, b in zip(nums[: n + 1], dens)] == want
     assert _pair(n, comp) == want[n].as_integer_ratio()
     assert_tables_scaled(comp, n)
 
@@ -230,8 +229,7 @@ def test_two_threads_extend_and_read_one_table():
     def read():
         barrier.wait()
         for n in range(0, top + 1, 5):
-            nums, dens = _pairs(n, comp)
-            if Fraction(nums[n], dens[n]) != want[n] or mhs_eval(n, comp) != want[n]:
+            if mhs_values(n, comp)[n] != want[n] or mhs_eval(n, comp) != want[n]:
                 bad.append(("read", n))
 
     interval = sys.getswitchinterval()
@@ -289,6 +287,23 @@ def test_wide_entries_across_prime_powers():
             assert _pair(n, comp) == want[comp][n].as_integer_ratio()
     for comp in WIDE_COMPS:
         assert mhs_values(300, comp) == want[comp]
-        nums, dens = _pairs(300, comp)
-        assert [Fraction(a, b) for a, b in zip(nums, dens)] == want[comp]
         assert_tables_scaled(comp, 300)
+
+
+RUNNING_LCM = list(accumulate(range(1, 301), lcm, initial=1))  # lcm(1..m), m <= 300
+
+
+def test_lcm_powers_are_the_running_lcm_powers():
+    # lo and hi at, just before and just after the prime powers 243 = 3**5,
+    # 256 = 2**8 and 289 = 17**2; each column from cold caches, and again
+    # once the sieve has grown past it
+    for lo in (0, 1, 7, 242, 243, 255, 256):
+        for hi in (lo, lo + 1, 242, 243, 244, 255, 256, 257, 288, 289, 300):
+            if hi < lo:
+                continue
+            for k in (0, 1, 2, 5):
+                want = [RUNNING_LCM[m] ** k for m in range(lo, hi + 1)]
+                mhsums.clear_caches()
+                assert _lcm_powers(lo, hi, k) == want, (lo, hi, k)
+                oracle._steps_upto(1000)
+                assert _lcm_powers(lo, hi, k) == want, (lo, hi, k)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from mhsums import oracle
 from mhsums.bernoulli import _SHARED
 from mhsums.bernoulli import _bernoulli_ints as table_ints
 from mhsums.cli import MAX_POWER
+from mhsums.closedform import ClosedForm
 from mhsums.oracle import _cache, _lcm_upto, mhs_eval
 from mhsums.polynomial import Polynomial
 from mhsums.reducer import _bernoulli_ints, _c_poly, _faulhaber_rows, _reduce, faulhaber
@@ -117,13 +119,31 @@ def test_associative(a, b, c):
     assert left == right
 
 
+def test_improper_keys_never_reach_the_stuffle_memo():
+    # a bool or zero entry in a combination's key must fail before it reaches
+    # _stuffle's memo, where (True, 1) would stand for (1, 1) in every later
+    # product and write JSON that does not parse
+    mhsums.clear_caches()
+    for bad in ({(True,): 1}, {(0,): 1}):
+        with pytest.raises(ValueError, match="proper compositions only"):
+            product_combinations(bad, {(1,): 1})
+        with pytest.raises(ValueError, match="proper compositions only"):
+            product_combinations({(1,): 1}, bad)
+    square = stuffle((1,), (1,))
+    assert square == {(1, 1): 2, (2,): 1}
+    assert all(type(k) is int for comp in square for k in comp)
+    assert ClosedForm(square).coefficient((1, 1)) == Polynomial.constant(2)
+    text = mhsums.sum_power(Polynomial.constant(1), 2).to_json()
+    assert json.loads(text) == json.loads(ClosedForm.from_json(text).to_json())
+
+
 def test_product_combinations_bilinear():
     lhs = product_combinations(
-        {(1,): Fraction(2), (2,): Fraction(-1)}, {(1,): Fraction(3)}
+        {(1,): Fraction(2, 3), (2,): Fraction(-1)}, {(1,): Fraction(3)}
     )
     want = {}
     for comp, c in stuffle((1,), (1,)).items():
-        want[comp] = want.get(comp, Fraction(0)) + 6 * c
+        want[comp] = want.get(comp, Fraction(0)) + 2 * c
     for comp, c in stuffle((2,), (1,)).items():
         want[comp] = want.get(comp, Fraction(0)) - 3 * c
     want = {k: v for k, v in want.items() if v}
