@@ -171,8 +171,6 @@ class _Parser:
             self.advance()
         first = self.term()
         kind, _, _ = self.peek()
-        if kind not in ("+", "-"):
-            return -first if sign < 0 else first
         # the terms are added into one row over the lcm of their
         # denominators, which is reduced once at the end
         entry = [first._den, [sign * c for c in first._ints]]

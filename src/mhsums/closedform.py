@@ -41,9 +41,9 @@ Terms render and serialize in one canonical order (weight, then depth, then
 lexicographic entries), so every emitter is deterministic.  JSON is written
 in one pass (``to_json``, and ``term_json`` per term, which ``check`` uses
 too): one ``[numerator, denominator]`` pair per coefficient, reduced by one
-gcd, or by none when the row's denominator is 1, with no tree of dicts and
-no encoder.  The text is exactly ``json.dumps`` of ``to_json_obj``.  Copies
-and pickles rebuild a form from its terms.
+gcd, with no tree of dicts and no encoder.  The text is exactly
+``json.dumps`` of ``to_json_obj``.  Copies and pickles rebuild a form from
+its terms.
 """
 
 from __future__ import annotations
@@ -321,16 +321,12 @@ def term_json_obj(comp: "tuple[int, ...]", poly: Polynomial) -> dict:
 
 def term_json(comp: "tuple[int, ...]", poly: Polynomial) -> str:
     """The text of ``json.dumps(term_json_obj(comp, poly))``, written
-    directly: one gcd per coefficient, none when the denominator is 1."""
-    den, ints = poly._den, poly._ints
-    if den == 1:
-        coeff = ", ".join([f"[{c}, 1]" for c in ints])
-    else:
-        gcd = math.gcd
-        coeff = ", ".join([
-            f"[{c}, {den}]" if (g := gcd(c, den)) == 1 else f"[{c // g}, {den // g}]"
-            for c in ints
-        ])
+    directly: one gcd per coefficient."""
+    den, gcd = poly._den, math.gcd
+    coeff = ", ".join([
+        f"[{c}, {den}]" if (g := gcd(c, den)) == 1 else f"[{c // g}, {den // g}]"
+        for c in poly._ints
+    ])
     comp_text = ", ".join(map(str, comp))
     return f'{{"composition": [{comp_text}], "coeff": [{coeff}]}}'
 

@@ -326,7 +326,9 @@ def _muladd(row: list, a, b) -> list:
 
     The one loop that adds or multiplies coefficient sequences.  ``row``
     grows as needed; a factor of 1 adds ``a`` without a multiplication, and a
-    slot still at 0 takes its term without an addition.
+    slot still at 0 takes its term without an addition.  Both shortcuts keep
+    the row's ints shared with ``a`` instead of copied, which keeps the
+    largest products faster and the deepest walks' peak memory lower.
     """
     size = len(a) + len(b) - 1
     if len(row) < size:

@@ -69,10 +69,9 @@ read too.  ``c_poly`` and ``faulhaber`` hand their rows to
 accumulator as ints, and the walk its power sums (``_power_sum``).  A power
 sum of degree d reads one memoized table, ``_faulhaber_rows(d)``: Faulhaber's
 rows for every q <= d as ints over their lcm, so a weight's power sum is
-g * row q added for each nonzero g and reduced by one gcd, and a monomial
-weight, as ``reduce``'s first state m**p, is one row times g.  The table
-holds ``faulhaber``'s own rows, not the chain helper's.  The first edge into
-a state writes its row as factor * S; later edges merge into it.
+g * row q added for each nonzero g and reduced by one gcd.  The table
+holds ``faulhaber``'s own rows, not the chain helper's.  Every edge into a
+state merges factor * S into its row.
 """
 
 from __future__ import annotations
@@ -222,14 +221,10 @@ def _power_sum(G: "list[int]", den: int) -> "tuple[list[int], int]":
         return [], 1
     top = terms[-1][0]
     fden, rows = _faulhaber_rows(top)
-    if len(terms) == 1:  # a monomial, as reduce's first state m**p
-        g = terms[0][1]
-        total = [0] + [g * c for c in rows[top]]
-    else:
-        total = [0] * (top + 2)
-        for q, g in terms:
-            for i, c in enumerate(rows[q], 1):
-                total[i] += g * c
+    total = [0] * (top + 2)
+    for q, g in terms:
+        for i, c in enumerate(rows[q], 1):
+            total[i] += g * c
     den *= fden
     g = math.gcd(den, *total)
     if g > 1:
@@ -254,11 +249,7 @@ def _by_parts(out, weight: Polynomial, states, edges, K) -> None:
         S, den = _power_sum(G[K:], den)
         out.add_ints(v, S, den)
         for w, factor, J in edges(v):
-            entry = rows.get(w)
-            if entry is None:  # the first edge into w writes its row
-                rows[w] = [den, [0] * (K - J) + [factor * s for s in S]]
-            else:
-                _muladd_over(entry, [0] * (K - J) + S, den, factor)
+            _muladd_over(rows.setdefault(w, [den, []]), [0] * (K - J) + S, den, factor)
 
 
 def reduce_direct(p: int, comp: "tuple[int, ...]") -> ClosedForm:

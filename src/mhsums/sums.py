@@ -142,7 +142,7 @@ class _Products:
         for comp, c in self._comb(key[cut:]):
             comp = head + comp
             entry = rows.get(comp)
-            if entry is None:
+            if entry is None:  # written, not merged into an empty row: faster levels
                 rows[comp] = [den, [c * x for x in nums]]
             else:
                 _muladd_over(entry, nums, den, c)

@@ -150,7 +150,13 @@ def _direct_weighted_sum(F: Polynomial, factors, max_n: int, start: int):
     return nums, w, F._den
 
 
+def _check_max_n(max_n: int) -> None:
+    if not isinstance(max_n, int) or max_n < 0:  # as the oracle refuses it
+        raise ValueError("upper limit must be a nonnegative integer")
+
+
 def reduce_suite_checks(max_n: int):
+    _check_max_n(max_n)
     checks = []
     comps = compositions_up_to(5, 3)
     for p in range(7):
@@ -176,8 +182,7 @@ def reduce_suite_checks(max_n: int):
 
 
 def sums_suite_checks(max_n: int):
-    if not isinstance(max_n, int) or max_n < 0:  # as the oracle refuses it
-        raise ValueError("upper limit must be a nonnegative integer")
+    _check_max_n(max_n)
     checks = []
 
     def oracle_check(route, F, arg, factors, start):
@@ -253,8 +258,6 @@ def run_verify(suite: str, max_n: int, echo=print) -> int:
     """Run one suite; print a line per identity; return a process exit code."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    if not isinstance(max_n, int) or max_n < 0:  # as the oracle refuses it
-        raise ValueError("upper limit must be a nonnegative integer")
     checks = []
     if suite in ("reduce", "all"):
         checks += reduce_suite_checks(max_n)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,7 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhsums import cli, verify
@@ -778,6 +780,14 @@ def test_verify_refuses_a_bad_range_up_front(suite, max_n):
     assert lines == []
 
 
+@pytest.mark.parametrize("build", ["reduce_suite_checks", "sums_suite_checks"])
+@pytest.mark.parametrize("max_n", [-1, -3, 2.5])
+def test_suite_builders_refuse_a_bad_range(build, max_n):
+    # the benchmark builds the checks without run_verify
+    with pytest.raises(ValueError, match="^upper limit must be a nonnegative integer$"):
+        getattr(verify, build)(max_n)
+
+
 def test_verify_small_run(capsys):
     code, out, _ = run_cli(
         ["verify", "--suite", "sums", "--max-n", "3"], capsys
@@ -939,3 +949,167 @@ def test_main_reads_sys_argv(capsys, monkeypatch):
     code, out, err = outcome(None, capsys)
     assert (code, out) == (2, "")
     assert err.endswith("mhsums: error: unrecognized arguments: bogus\n")
+
+
+# ------------------------------------------------------- a grammar fuzz of main
+
+# Each subcommand's flags, each with its cheap valid values and, one time in
+# four, a value past a limit, a negative one or a malformed text.  Valid
+# values stay cheap, so that any mix of them runs in milliseconds; the
+# accepted inputs at a limit are whole sets of flags (AT_LIMIT), since two
+# values at a limit together can be slow: eval --n 20000 --comp 1 takes about
+# a second.  Left out: -h, and accepted inputs that are slow (bernoulli --max
+# 1000 takes about 6 s, table --weight-max 12 about 0.5 s).
+def _ones(k):
+    return ",".join(["1"] * k)
+
+
+def _mostly(valid, bad):
+    return st.integers(0, 3).flatmap(lambda i: valid if i else st.sampled_from(bad))
+
+
+def _ints(cheap_max, limit):
+    return _mostly(st.integers(0, cheap_max), [limit + 1, -1, -limit]).map(str)
+
+
+def _comps(entries, bad):
+    comps = st.lists(entries, max_size=3).map(lambda c: ",".join(map(str, c)))
+    return _mostly(comps, bad)
+
+
+def _choices(choices):
+    return _mostly(st.sampled_from(choices), ["xml", ""])
+
+
+BAD_COMPS = [
+    "1,,2", "a", "1.5", "1;2", "0", "-1", "0,1", "2,-1", "1,0",
+    _ones(MAX_DEPTH + 1), str(MAX_DEGREE + 1), f"-{MAX_DEGREE + 1},1",
+]
+POLY = _mostly(
+    st.sampled_from(["1", "m", "-m", "n^2", "3*m^2+m", "(m-1)^2", "m^3/7 - 2/3"]),
+    [
+        "", "m^", "m**2", "2/0", "x", "m^(1/2)", "(m", "m)", "1/m", "m^-1", "m^m",
+        "m$", "m^2^", "2 3", f"m^{MAX_DEGREE + 1}", f"m^{MAX_DEGREE}*m",
+        "9" * 12_100,  # 40,196 bits, past MAX_CONSTANT_BITS
+        "(" * (MAX_NESTING + 1) + "m" + ")" * (MAX_NESTING + 1),
+    ],
+)
+FACTORS = _mostly(
+    st.sampled_from(["1", "2", "1^2", "2,1", "1^2,3"]),
+    [
+        "", "1^", "^2", "a", "1,,2", "0", "-1", "1^0", "1^-1", "1^2^3", "1.5",
+        f"1^{MAX_POWER + 1}", f"1^{MAX_POWER},2",
+    ],
+)
+FORMAT = _choices(cli.FORMATS)
+# flag -> (values, required); None stands for a flag without a value
+GRAMMAR = {
+    "reduce": {
+        "-p": (_ints(6, MAX_DEGREE), True),
+        "--comp": (_comps(st.integers(1, 3), BAD_COMPS), False),
+        "--method": (_choices(cli.METHODS), False),
+        "--format": (FORMAT, False),
+    },
+    "sum": {
+        "--poly": (POLY, True),
+        "--power": (_ints(3, MAX_POWER), True),
+        "--factors": (FACTORS, False),
+        "--shifted": (st.none(), False),
+        "--format": (FORMAT, False),
+    },
+    "eval": {
+        "--n": (_ints(30, MAX_EVAL_N), True),
+        "--comp": (_comps(st.integers(-3, 3), BAD_COMPS), False),
+        "--format": (FORMAT, False),
+    },
+    "check": {"--poly": (POLY, True), "--power": (_ints(3, MAX_POWER), True)},
+    "bernoulli": {
+        "--max": (_ints(30, MAX_BERNOULLI), True),
+        "--convention": (_choices(("plus", "minus")), False),
+    },
+    "table": {
+        "--p-max": (_ints(2, MAX_DEGREE), True),
+        "--weight-max": (_ints(3, MAX_TABLE_WEIGHT), True),
+        "--n": (_ints(20, MAX_TABLE_N), True),
+    },
+    "verify": {
+        "--suite": (_choices(verify.SUITES), True),
+        "--max-n": (_ints(3, MAX_VERIFY_N), True),
+    },
+}
+# flags set together at a limit; a flag set to False is left out
+AT_LIMIT = {
+    "reduce": [{"-p": str(MAX_DEGREE)}, {"--comp": str(MAX_DEGREE)}],
+    "sum": [{"--poly": "1", "--power": str(MAX_POWER), "--factors": False}],
+    "eval": [
+        {"--n": "0", "--comp": _ones(MAX_DEPTH)},
+        {"--n": str(MAX_EVAL_N), "--comp": False},
+        {"--comp": str(MAX_DEGREE)},
+    ],
+    "check": [{"--poly": "1", "--power": str(MAX_POWER)}],
+}
+UNKNOWN = ["--bogus", "--bogus=1", "-x", "extra", "--"]
+
+
+@st.composite
+def command_lines(draw):
+    """``(argv, format)``: a required flag is left out one time in eight, an
+    optional one half the time, and --factors mostly stands in for --power."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    flags = {}
+    for flag, (values, required) in GRAMMAR[command].items():
+        if draw(st.integers(0, 7)) if required else draw(st.booleans()):
+            flags[flag] = draw(values)
+    if "--factors" in flags and draw(st.integers(0, 7)):
+        flags.pop("--power", None)
+    if command in AT_LIMIT and draw(st.integers(0, 3)) == 0:
+        flags.update(draw(st.sampled_from(AT_LIMIT[command])))
+    tokens = []
+    for flag, value in draw(st.permutations(list(flags.items()))):
+        if value is None:
+            tokens.append(flag)
+        elif value is not False:  # a long flag's value may start with "-"
+            tokens += [f"{flag}={value}"] if flag[1] == "-" else [flag, value]
+    if draw(st.integers(0, 7)) == 0:
+        token = draw(st.sampled_from(UNKNOWN))
+        tokens.insert(draw(st.integers(0, len(tokens))), token)
+    return [command, *tokens], flags.get("--format") or "text"
+
+
+USAGE_ERROR = re.compile(r"mhsums( [a-z]+)?: error: ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_random_command_lines_end_in_a_result_or_a_clean_exit(drawn):
+    argv, fmt = drawn
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's exit, the one exception allowed
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        # one error line, or argparse's usage lines and then one error line
+        assert out == "" and err.endswith("\n")
+        lines = err.splitlines()
+        if len(lines) == 1 and lines[0].startswith("error: "):
+            return
+        assert lines[0].startswith("usage: mhsums")
+        assert USAGE_ERROR.match(lines[-1])
+        assert not any(USAGE_ERROR.match(line) for line in lines[:-1])
+    elif code == 0:
+        command = argv[0]
+        assert err == ""
+        if command == "check" or fmt == "json":
+            json.loads(out)
+        elif command == "bernoulli":
+            assert out.startswith("index,numerator,denominator\n")
+        elif command == "table":
+            assert out.startswith("p,composition,n,oracle_num,oracle_den,")
+        elif command == "verify":
+            assert out.splitlines()[-1].endswith(" identities verified")
+        else:
+            assert out.endswith("\n") and out.count("\n") == 1 and out.strip()
