@@ -1,15 +1,24 @@
 """Bernoulli numbers in both sign conventions, plus umbral evaluation.
 
 The two conventions differ only at index 1, where the value is +1/2 ("plus")
-or -1/2 ("minus").  Values come from the binomial recurrence
+or -1/2 ("minus").  The even-index values come from the tangent numbers
+T_k, the integers with tan x = sum_k T_k x**(2k-1) / (2k-1)!:
 
-    sum_{j=0..m} C(m + 1, j) * b_j = 0   for m >= 1,   b_0 = 1,
+    B_2k = (-1)**(k-1) * 2k * T_k / (4**k * (4**k - 1)),
 
-which produces the minus convention directly; the plus convention flips the
-sign at index 1 on read.  Each table keeps one growable list of
-minus-convention values; extension happens under a lock so a table can be
-shared between threads, and reads of already-computed entries need no
-coordination.
+with B_1 = -1/2 and B_odd = 0 beyond it.  T_1..T_K come from an in-place
+triangle of O(K**2) integer steps, each two products by small factors and a
+sum, not from a recurrence over ``Fraction``s (D. E. Knuth and T. J.
+Buckholtz, "Computation of tangent, Euler, and Bernoulli numbers", Math.
+Comp. 21 (1967); R. P. Brent and D. Harvey, "Fast computation of Bernoulli,
+Tangent and Secant numbers" (2011), arXiv:1108.0286, Algorithm
+TangentNumbers).  This gives the minus convention
+directly; the plus convention flips the sign at index 1 on read.  Each
+table keeps one growable list of minus-convention values; extension happens
+under a lock so a table can be shared between threads, one entry appended at
+a time, and reads of already-computed entries need no coordination.  A table
+grows to at least twice its length, recomputing the triangle each time, so
+reading the indices 0, 1, 2, ... in turn costs O(n**2) steps overall.
 
 Where the time goes the numbers are read as one int row: B_0..B_h in the
 plus convention over their lcm (``_bernoulli_ints``, memoized per h).  The
@@ -62,12 +71,33 @@ class BernoulliTable:
     def _grow(self, n: int) -> None:
         with self._lock:
             vals = self._minus
-            for m in range(len(vals), n + 1):
-                acc = Fraction(0)
-                for j in range(m):
-                    if vals[j]:
-                        acc += math.comb(m + 1, j) * vals[j]
-                vals.append(-acc / (m + 1))
+            start = len(vals)
+            if n < start:  # another thread grew the table meanwhile
+                return
+            # doubling keeps reads of 0, 1, 2, ... in turn at O(n**2) overall
+            end = max(n, 2 * start)
+            tangents = _tangent_numbers(end // 2)
+            for m in range(start, end + 1):
+                if m == 1:
+                    vals.append(Fraction(-1, 2))
+                elif m % 2:
+                    vals.append(Fraction(0))
+                else:
+                    k = m // 2
+                    four = 4**k
+                    num = m * tangents[k - 1]
+                    vals.append(Fraction(num if k % 2 else -num, four * (four - 1)))
+
+
+def _tangent_numbers(count: int) -> "list[int]":
+    """T_1, ..., T_count, by Brent and Harvey's in-place triangle."""
+    t = [1] * count
+    for k in range(1, count):
+        t[k] = k * t[k - 1]
+    for k in range(1, count):
+        for j in range(k, count):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
 
 
 _SHARED = BernoulliTable()

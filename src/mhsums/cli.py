@@ -108,7 +108,10 @@ MAX_CONSTANT_BITS = 40_000  # numerator or denominator of a literal, power or pr
 # eval of this shape, --n 180 with 100 ones, takes 0.06 s and 24 MB.
 MAX_DEPTH = 100  # entries of --comp
 # The direct evaluator builds a table of n exact values per suffix of the
-# composition, and the Bernoulli table costs m exact terms for its m-th entry.
+# composition.  The Bernoulli limit was set when the table cost m exact terms
+# for its m-th entry; that model no longer holds, since the tangent-number
+# triangle takes about m**2 / 8 integer steps for B_0..B_m, and bernoulli
+# --max 1000 takes 0.2 s in a cold process on the VM above.
 MAX_EVAL_N = 20_000  # eval --n
 MAX_BERNOULLI = 1_000  # bernoulli --max
 # The values of the table for a suffix of weight w grow to the bits of

@@ -84,7 +84,7 @@ from itertools import accumulate
 from .bernoulli import _bernoulli_ints, umbral_eval
 from .closedform import ClosedForm, _Accumulator
 from .oracle import is_proper
-from .polynomial import Polynomial, _muladd_over, _reduced
+from .polynomial import Polynomial, _muladd_over, _new, _reduced
 
 __all__ = ["faulhaber", "c_poly", "d_umbral", "reduce", "reduce_direct"]
 
@@ -195,7 +195,8 @@ def _reduce(p: int, comp: "tuple[int, ...]") -> ClosedForm:
     states = [comp[i:] for i in range(len(comp) + 1)]
     edges = lambda s: ((s[1:], -1, s[0]),) if s else ()
     out = _Accumulator()
-    _by_parts(out, Polynomial.monomial(p), states, edges, max(comp, default=0))
+    # m**p as its canonical row
+    _by_parts(out, _new(1, (0,) * p + (1,)), states, edges, max(comp, default=0))
     return out.freeze()
 
 

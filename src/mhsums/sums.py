@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import bernoulli, umbral_eval
@@ -161,8 +160,44 @@ class _Products:
 # --------------------------------------------------------------- structured
 
 
-@dataclass(frozen=True)
-class StructuredForm:
+class _Record:
+    """An immutable record of the fields named by ``__slots__``: equality,
+    hash and repr over the fields, as a frozen dataclass writes them, and
+    copy and pickle by its constructor.  Not a tuple, so it never reads as
+    one."""
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class StructuredForm(_Record):
     """A closed form grouped into explicit harmonic-number blocks.
 
     ``leading`` multiplies H_n**power times the depth-one factors in
@@ -170,13 +205,19 @@ class StructuredForm:
     multiply H_n(2), H_n(2,1) and H_n(3).
     """
 
-    power: int
-    extra_orders: "tuple[int, ...]"
-    leading: Polynomial
-    q: "tuple[Polynomial, ...]"
-    c2: Polynomial
-    c21: Fraction
-    c3: Fraction
+    __slots__ = ("power", "extra_orders", "leading", "q", "c2", "c21", "c3")
+
+    def __init__(
+        self,
+        power: int,
+        extra_orders: "tuple[int, ...]",
+        leading: Polynomial,
+        q: "tuple[Polynomial, ...]",
+        c2: Polynomial,
+        c21: Fraction,
+        c3: Fraction,
+    ):
+        self._fill(power, extra_orders, leading, q, c2, c21, c3)
 
 
 def _derivative_umbral(p: int) -> Fraction:
@@ -337,12 +378,17 @@ def structured_to_closed(form: StructuredForm) -> ClosedForm:
 # ------------------------------------------------------------------- checks
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(_Record):
     """Result of the remainder-shape check for one (weight, power) pair."""
 
-    passes: bool
-    offending_terms: "tuple[tuple[tuple[int, ...], Polynomial], ...]"
+    __slots__ = ("passes", "offending_terms")
+
+    def __init__(
+        self,
+        passes: bool,
+        offending_terms: "tuple[tuple[tuple[int, ...], Polynomial], ...]",
+    ):
+        self._fill(passes, offending_terms)
 
 
 def structure_check(F: Polynomial, t: int) -> StructureReport:

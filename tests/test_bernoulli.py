@@ -1,10 +1,15 @@
+import random
+import sys
+import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mhsums
 from mhsums.bernoulli import BernoulliTable, bernoulli, check_twoBs, umbral_eval
 from mhsums.polynomial import Polynomial
 
@@ -20,6 +25,82 @@ def series_oracle(count):
     for k in range(1, count):
         recip.append(-sum(denom[j] * recip[k - j] for j in range(1, k + 1)))
     return [recip[k] * factorial(k) for k in range(count)]
+
+
+@lru_cache(maxsize=None)
+def recurrence_reference(count):
+    """First ``count`` Bernoulli numbers (minus convention) from the binomial
+    recurrence sum_{j=0..m} C(m + 1, j) B_j = 0, b_0 = 1, over Fractions."""
+    vals = [Fraction(1)]
+    for m in range(1, count):
+        acc = Fraction(0)
+        for j in range(m):
+            if vals[j]:
+                acc += comb(m + 1, j) * vals[j]
+        vals.append(-acc / (m + 1))
+    return tuple(vals)
+
+
+def assert_matches_reference(read, top):
+    """``read(i, convention)`` gives B_i in both conventions for i <= top."""
+    want = recurrence_reference(top + 1)
+    for i in range(top + 1):
+        assert read(i, "minus") == want[i]
+        assert read(i, "plus") == (-want[i] if i == 1 else want[i])
+
+
+def test_tangent_table_matches_the_recurrence_however_it_grows():
+    stepwise = BernoulliTable()
+    for i in range(121):
+        assert stepwise.value(i, "minus") == recurrence_reference(301)[i]
+    assert_matches_reference(stepwise.value, 300)
+
+    jump = BernoulliTable("minus")
+    jump.value(300)
+    assert_matches_reference(jump.value, 300)
+
+    descending = BernoulliTable()
+    want = recurrence_reference(301)
+    for i in range(300, -1, -1):
+        assert descending.value(i, "minus") == want[i]
+    assert_matches_reference(descending.value, 300)
+
+
+def test_shared_table_matches_the_recurrence_after_clear_caches():
+    mhsums.clear_caches()
+    assert_matches_reference(bernoulli, 300)
+    mhsums.clear_caches()
+    want = recurrence_reference(301)
+    for i in range(300, -1, -1):
+        assert bernoulli(i, "minus") == want[i]
+    assert_matches_reference(bernoulli, 300)
+
+
+def test_threads_share_one_growing_table():
+    table = BernoulliTable()
+    want = recurrence_reference(401)
+    results = {}
+
+    def reader(seed):
+        indices = list(range(401))
+        random.Random(seed).shuffle(indices)
+        results[seed] = [(i, table.value(i, "minus")) for i in indices]
+
+    threads = [threading.Thread(target=reader, args=(seed,), daemon=True) for seed in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for read in results.values():
+        assert len(read) == 401
+        assert all(value == want[i] for i, value in read)
 
 
 def test_matches_generating_function():

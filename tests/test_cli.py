@@ -826,6 +826,20 @@ def test_module_entry_point():
     assert proc.stdout.strip() == "5/2"
 
 
+def test_cold_start_imports_no_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize: most of a cold
+    # import of the package
+    probe = (
+        "import sys; before = set(sys.modules); import mhsums.cli; "
+        "print(*sorted(set(sys.modules) - before), sep='\\n')"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "mhsums.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize(
     "argv, keep",
     [
