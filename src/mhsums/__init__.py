@@ -11,6 +11,8 @@ weights F.  All arithmetic is exact: ints over known denominators inside,
 life of the process; ``clear_caches`` frees them.
 """
 
+from fractions import Fraction
+
 from . import bernoulli as _bernoulli
 from . import oracle as _oracle
 from .bernoulli import BernoulliTable, _bernoulli_ints, bernoulli, check_twoBs
@@ -52,17 +54,20 @@ _MEMOS = (
 def clear_caches() -> None:
     """Empty every memo and table: the eight ``lru_cache`` memos (four of
     the reducer, the Bernoulli numbers as ints, two of the stuffle and the
-    oracle's lcm(1..n)), the oracle's tables and its sieve of lcm steps
-    (which closed-form evaluation reads too) and the shared Bernoulli table.
-    Results stay the same; they are computed again when next needed."""
+    oracle's lcm(1..n)), the oracle's tables, its lifted columns and its
+    sieve of lcm steps (which closed-form evaluation reads too) and the
+    shared Bernoulli table.  Lists are swapped for new ones, not cut, so a
+    reader holding one keeps it whole.  Results stay the same; they are
+    computed again when next needed."""
     for memo in _MEMOS:
         memo.cache_clear()
     with _oracle._lock:
         _oracle._cache.clear()
-        _oracle._steps = [1, 1]  # a reader holding the old list keeps it whole
+        _oracle._lifted = {}
+        _oracle._steps = [1, 1]
     table = _bernoulli._SHARED
     with table._lock:
-        del table._minus[1:]
+        table._minus = [Fraction(1)]
 
 
 __all__ = [

@@ -16,7 +16,9 @@ TangentNumbers).  This gives the minus convention
 directly; the plus convention flips the sign at index 1 on read.  Each
 table keeps one growable list of minus-convention values; extension happens
 under a lock so a table can be shared between threads, one entry appended at
-a time, and reads of already-computed entries need no coordination.  A table
+a time, and reads of already-computed entries need no coordination: a read
+indexes the list whose length it checked, so ``clear_caches``, which swaps
+in a new list, never shortens one under a reader.  A table
 grows to at least twice its length, recomputing the triangle each time, so
 reading the indices 0, 1, 2, ... in turn costs O(n**2) steps overall.
 
@@ -61,19 +63,21 @@ class BernoulliTable:
             raise ValueError("Bernoulli index must be a nonnegative integer")
         convention = self.convention if convention is None else convention
         _check_convention(convention)
-        if n >= len(self._minus):
-            self._grow(n)
-        v = self._minus[n]
+        vals = self._minus  # one list: clear_caches swaps in a new one
+        if n >= len(vals):
+            vals = self._grow(n)
+        v = vals[n]
         if n == 1 and convention == "plus":
             return -v
         return v
 
-    def _grow(self, n: int) -> None:
+    def _grow(self, n: int) -> "list[Fraction]":
+        """The table's list, grown to hold index n."""
         with self._lock:
             vals = self._minus
             start = len(vals)
             if n < start:  # another thread grew the table meanwhile
-                return
+                return vals
             # doubling keeps reads of 0, 1, 2, ... in turn at O(n**2) overall
             end = max(n, 2 * start)
             tangents = _tangent_numbers(end // 2)
@@ -87,6 +91,7 @@ class BernoulliTable:
                     four = 4**k
                     num = m * tangents[k - 1]
                     vals.append(Fraction(num if k % 2 else -num, four * (four - 1)))
+            return vals
 
 
 def _tangent_numbers(count: int) -> "list[int]":

@@ -20,16 +20,15 @@ return stays immutable.
 Evaluation reads the polynomials' rows over D, the lcm of their
 denominators, and one known denominator per weight: with L = lcm(1..n),
 the denominator of H_n(comp) divides L**w for w = sum(comp).  The direct
-evaluator keeps each table's values as numerators over L**w and hands out
-a slice of them (``oracle._scaled``), and every column of powers L**k over
-a range of n comes from it too (``oracle._lcm_powers``).  Over the column
-of n, each coefficient of degree d takes its values as ints from
-Horner's scheme at the first d + 1 points and, past them, from forward
-differences: its d-th difference is constant, and each lower difference
-column is one running sum of the next (Knuth, TAOCP vol. 2, 4.6.4).  Their
-products with the numerators sum per weight into S_w, and the weights
-combine by Horner's scheme in L up to any top at least W, the largest
-weight: the value is sum_w S_w * L**(top - w) over L**top * D
+evaluator keeps each table's values as numerators over L**w and hands them
+out already lifted to L**top, for any top at least W, the largest weight
+(``oracle._scaled``); every column of powers L**k over a range of n comes
+from it too (``oracle._lcm_powers``).  Over the column of n, each
+coefficient of degree d takes its values as ints from Horner's scheme at
+the first d + 1 points and, past them, from forward differences: its d-th
+difference is constant, and each lower difference column is one running
+sum of the next (Knuth, TAOCP vol. 2, 4.6.4).  The value is the sum of
+their products with the lifted numerators over L**top * D
 (``_numerators``), with no gcd, lcm or division per term and n.
 ``_ratios`` pairs the numerators at top = W with their denominators, the
 column of L**W times D, and ``values(max_n)`` and ``eval(n)`` build one
@@ -233,24 +232,14 @@ class ClosedForm:
         for any top >= W (see the module docstring)."""
         if not isinstance(hi, int) or hi < 0:
             raise ValueError("upper limit must be a nonnegative integer")
-        if not self._terms:
-            return [0] * (hi + 1 - lo), 1
-        polys = self._terms.values()
-        den = math.lcm(*[poly._den for poly in polys])
-        lcms = _lcm_powers(lo, hi, 1)
-        sums = {}  # weight -> the column of S_w over lo..hi
+        size = hi + 1 - lo
+        den = math.lcm(*[poly._den for poly in self._terms.values()])
+        acc = None
         for comp, poly in self._terms.items():
-            col = _column(poly._ints, den // poly._den, lo, hi + 1 - lo)
-            col = map(mul, col, _scaled(lo, hi, comp))
-            w = sum(comp)
-            sums[w] = list(map(add, sums[w], col)) if w in sums else list(col)
-        low = min(sums)
-        acc = sums[low]
-        for w in range(low + 1, top + 1):
-            acc = list(map(mul, acc, lcms))
-            if w in sums:
-                acc = list(map(add, acc, sums[w]))
-        return acc, den
+            col = _column(poly._ints, den // poly._den, lo, size)
+            col = map(mul, col, _scaled(lo, hi, comp, top))
+            acc = list(col) if acc is None else list(map(add, acc, col))
+        return ([0] * size if acc is None else acc), den
 
     # ------------------------------------------------------------- rendering
 

@@ -32,10 +32,17 @@ sums or ``polynomial``: it stays an independent judge of their closed forms.
 Readers take lowest terms only at the boundary.  ``mhs_eval``, the
 ``eval`` command and ``table`` read one point (``_pair``): the table's entry
 at n, reduced by one gcd against L(n)**w.  Every other reader takes a slice
-of the numerators (``_scaled``): ``mhs_values`` over the column of L(m)**w,
-and closed-form evaluation and ``verify``, also of the extended (-p,) + comp
-that ``reduce`` is checked against, over columns of their own.  The tables
-and the sieve grow under one re-entrant lock, so they behave as if computed
+of the numerators over L(m)**top for a top >= w of its choice
+(``_scaled``): ``mhs_values`` at top = w, over the column of L(m)**w, and
+closed-form evaluation and ``verify``, also of the extended (-p,) + comp
+that ``reduce`` is checked against, at the largest weight of the form.  At
+top = w the slice is the table's own.  Past w, a slice from m = 0 is a
+prefix of a lifted column, H_m(comp) * L(m)**top kept per (comp, top - w)
+in ``_lifted``, apart from the tables, and grown like one: the table's new
+entries times the column of L(m)**(top - w).  A slice from m = lo > 0, as
+``eval(n)`` and ``table`` read, lifts its own entries and keeps nothing, so
+one point never builds a column from 0.  The tables, the lifted columns and
+the sieve grow under one re-entrant lock, so they behave as if computed
 once even when shared between threads; an entry, once stored, never
 changes.
 """
@@ -62,6 +69,7 @@ Composition = "tuple[int, ...]"
 
 
 _cache: "dict[tuple[int, ...], list[int]]" = {}  # comp -> H_m(comp) * L(m)**w
+_lifted: "dict[tuple, list[int]]" = {}  # (comp, e) -> H_m(comp) * L(m)**(w + e)
 _lock = threading.RLock()
 _steps = [1, 1]  # the sieve: _steps[m] = r_m = lcm(1..m) / lcm(1..m-1)
 
@@ -168,11 +176,28 @@ def _pair(n: int, comp: "tuple[int, ...]") -> "tuple[int, int]":
     return num // g, den // g
 
 
-def _scaled(lo: int, hi: int, comp: "tuple[int, ...]") -> "list[int]":
-    """H_m(comp) * lcm(1..m)**w for m = lo..hi, as ints, for a composition
-    whose positive entries sum to w, proper or extended: a slice of its
-    table."""
-    return _values(comp, hi)[lo : hi + 1]
+def _scaled(lo: int, hi: int, comp: "tuple[int, ...]", top: int) -> "list[int]":
+    """H_m(comp) * lcm(1..m)**top for m = lo..hi, as ints, for a composition
+    whose positive entries sum to w <= top, proper or extended.  At top = w
+    this is a slice of its table.  Past w, a read from lo = 0 is a prefix of
+    the lifted column of (comp, top - w), grown under the lock; a read from
+    lo > 0 lifts its own slice."""
+    values = _values(comp, hi)
+    e = top - _weight(comp)
+    if not e:
+        return values[lo : hi + 1]
+    if lo:
+        return list(map(mul, values[lo : hi + 1], _lcm_powers(lo, hi, e)))
+    lifted = _lifted.get((comp, e))
+    if lifted is None or len(lifted) <= hi:
+        with _lock:
+            lifted = _lifted.setdefault((comp, e), [])
+            start = len(lifted)
+            if start <= hi:
+                lift = _lcm_powers(start, hi, e)
+                # one call: readers without the lock see whole entries
+                lifted.extend(map(mul, values[start : hi + 1], lift))
+    return lifted[: hi + 1]
 
 
 @lru_cache(maxsize=1)
@@ -193,8 +218,9 @@ def _lcm_powers(lo: int, hi: int, k: int) -> "list[int]":
 def mhs_values(n: int, comp: "tuple[int, ...]") -> "list[Fraction]":
     """The list [H_0(comp), H_1(comp), ..., H_n(comp)]."""
     comp = _checked(n, comp)
-    dens = _lcm_powers(0, n, _weight(comp))
-    return [Fraction(a, b) for a, b in zip(_scaled(0, n, comp), dens)]
+    w = _weight(comp)
+    dens = _lcm_powers(0, n, w)
+    return [Fraction(a, b) for a, b in zip(_scaled(0, n, comp, w), dens)]
 
 
 def mhs_eval(n: int, comp: "tuple[int, ...]") -> Fraction:

@@ -14,11 +14,13 @@ sums, built from the oracle's numerators, with den = den(F) and w the weight
 of the product: each step multiplies the running sum by the oracle's sieve
 step r_m**w and adds one term, with no gcd or lcm (``_direct_weighted_sum``).
 The closed form gives its numerators over L(n)**top * D for top, the larger
-of w and its own largest weight (``ClosedForm._numerators``), and the direct
-numerators are lifted by the column of L(n)**(top - w) from the oracle
-(``oracle._lcm_powers``) when its weight is the larger.  A check then
-compares got[n] * den with nums[n] * D, one product of a big and a small
-int per side and n, and builds two ``Fraction``s only to print a failure.
+of w and its own largest weight (``ClosedForm._numerators``), from the
+oracle's numerators already lifted to L(n)**top (``oracle._scaled``); the
+direct numerators are lifted by the column of L(n)**(top - w) from the
+oracle (``oracle._lcm_powers``) when the form's weight is the larger.  A
+check then compares got[n] * den with nums[n] * D, one product of a big and
+a small int per side and n, and builds two ``Fraction``s only to print a
+failure.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ def _direct_weighted_sum(F: Polynomial, factors, max_n: int, start: int):
     over L(m - start)**w; with start = 1 the step at m brings the sum up to
     L(m)**w by r_m**w."""
     row = F._ints
-    tables = [(_scaled(0, max_n, comp), e) for comp, e in factors]
+    tables = [(_scaled(0, max_n, comp, sum(comp)), e) for comp, e in factors]
     w = sum(sum(comp) * e for comp, e in factors)
     steps = _steps_upto(max_n)
     nums = [0] * start
@@ -163,7 +165,8 @@ def reduce_suite_checks(max_n: int):
         for comp in comps:
 
             def check(p=p, comp=comp):
-                direct = _scaled(0, max_n, (-p,) + comp), sum(comp), 1
+                w = sum(comp)
+                direct = _scaled(0, max_n, (-p,) + comp, w), w, 1
                 return _matches_direct(reduce(p, comp), direct, max_n)
 
             checks.append((f"reduce p={p} comp={_comp_str(comp)} oracle", check))

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -101,6 +102,39 @@ def test_threads_share_one_growing_table():
     for read in results.values():
         assert len(read) == 401
         assert all(value == want[i] for i, value in read)
+
+
+def test_clear_caches_while_another_thread_reads():
+    # clear_caches swaps in a new shared table: a reader keeps whole the list
+    # it checked the length of, so it never indexes past the end
+    want = [bernoulli(i, "minus") for i in range(60)]
+    bad = []
+    deadline = time.monotonic() + 2
+
+    def read():
+        try:
+            while time.monotonic() < deadline:
+                bad.extend(i for i in range(60) if bernoulli(i, "minus") != want[i])
+        except Exception as exc:  # a thread's error must fail the test
+            bad.append(repr(exc))
+
+    def clear():
+        while time.monotonic() < deadline and not bad:
+            mhsums.clear_caches()
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (read, clear)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, between check and read
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+    assert bad == []
+    assert [bernoulli(i, "minus") for i in range(60)] == want
 
 
 def test_matches_generating_function():

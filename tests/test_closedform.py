@@ -8,6 +8,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from operator import add, mul
 
 import pytest
 from hypothesis import given
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import mhsums
 from mhsums import oracle, verify
 from mhsums.cli import main
-from mhsums.closedform import ClosedForm, _Accumulator
+from mhsums.closedform import ClosedForm, _Accumulator, _column
 from mhsums.oracle import _lcm_upto, mhs_eval
 from mhsums.polynomial import Polynomial
 from mhsums.reducer import reduce
@@ -234,7 +235,7 @@ def test_a_lighter_or_zero_form_prints_the_values_in_lowest_terms():
         (0, (1, 1, 1), "n=3: closed -1/2 != direct 0", "n=4: closed 0 != direct 1/6"),
         (5, (3,), "n=1: closed -1 != direct 0", "n=2: closed 0 != direct 32"),
     ):
-        direct = oracle._scaled(0, 30, (-p,) + comp), sum(comp), 1
+        direct = oracle._scaled(0, 30, (-p,) + comp, sum(comp)), sum(comp), 1
         form = lighter(reduce(p, comp), sum(comp))
         assert verify._matches_direct(form, direct, 30) == (False, light)
         assert verify._matches_direct(ClosedForm(), direct, 30) == (False, zero)
@@ -300,6 +301,66 @@ def fill_reads(form):
         ],
         "values": lambda: list(enumerate(form.values(FILL_N))),
     }
+
+
+def horner_numerators(form, lo, hi, top):
+    """_numerators(lo, hi, top) as read before the oracle lifted its
+    columns: per weight w, S_w sums each term's column times H_n(comp) * L**w,
+    and the S_w combine by Horner's scheme in L = lcm(1..n) up to top."""
+    if not form._terms:
+        return [0] * (hi + 1 - lo), 1
+    den = math.lcm(*[poly._den for poly in form._terms.values()])
+    lcms = oracle._lcm_powers(lo, hi, 1)
+    sums = {}
+    for comp, poly in form._terms.items():
+        col = _column(poly._ints, den // poly._den, lo, hi + 1 - lo)
+        col = list(map(mul, col, oracle._scaled(lo, hi, comp, sum(comp))))
+        w = sum(comp)
+        sums[w] = list(map(add, sums[w], col)) if w in sums else col
+    acc = sums[min(sums)]
+    for w in range(min(sums) + 1, top + 1):
+        acc = list(map(mul, acc, lcms))
+        if w in sums:
+            acc = list(map(add, acc, sums[w]))
+    return acc, den
+
+
+LIFT_FORMS = (
+    *forms_of_degree(3),
+    *FILL_FORMS,
+    reduce(4, (2, 1)),
+    sum_power(Polynomial((2, -5, 3)), 2),
+    ClosedForm(),
+)
+# full ranges from 0, subranges with lo > 0 and single points
+LIFT_RANGES = ((0, 80), (0, 5), (1, 80), (37, 60), (0, 0), (7, 7), (80, 80))
+
+
+@pytest.mark.parametrize("form", LIFT_FORMS)
+def test_lifted_numerators_match_the_horner_reference(form):
+    for top in range(form._weight, form._weight + 4):
+        for reads in (LIFT_RANGES, LIFT_RANGES[::-1]):
+            mhsums.clear_caches()
+            for lo, hi in reads:
+                want = horner_numerators(form, lo, hi, top)
+                assert form._numerators(lo, hi, top) == want, (top, lo, hi)
+
+
+def test_points_leave_no_lifted_column():
+    # eval(n) and table rows lift their own points; only reads from 0, as
+    # values and verify make, keep a lifted column
+    mhsums.clear_caches()
+    forms = [reduce(p, comp) for p, comp in ((0, (1,)), (3, (2, 1)), (6, (1, 1, 1)))]
+    for form in forms:
+        assert min(map(sum, form._terms)) < form._weight  # some term is lifted
+        for n in (1, 40, 97):
+            assert form.eval(n) == reference_value(form, n)
+    table = mhsums.run_table(2, 3, 40)
+    assert table.count(",true\n") == len(table.splitlines()) - 1
+    assert oracle._lifted == {}
+    for form in forms:
+        form.values(40)
+    assert oracle._lifted
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import threading
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import factorial, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -207,10 +208,14 @@ def test_public_values_are_fresh_fractions():
 
 def test_clear_caches_empties_the_tables():
     want = mhs_eval(10, (1, 2))
+    lifted = oracle._scaled(0, 10, (1, 2), 5)
     assert _cache and (1, 2) in _cache and (2,) in _cache
+    assert oracle._lifted[((1, 2), 2)][:11] == lifted
     mhsums.clear_caches()
     assert _cache == {}
+    assert oracle._lifted == {}
     assert mhs_eval(10, (1, 2)) == want
+    assert oracle._scaled(0, 10, (1, 2), 5) == lifted
 
 
 def test_two_threads_extend_and_read_one_table():
@@ -245,6 +250,78 @@ def test_two_threads_extend_and_read_one_table():
     assert bad == []
     assert mhs_values(top, comp) == want
     assert_tables_scaled(comp, top)
+
+
+def lifted_reference(comp, n, top):
+    """H_m(comp) * lcm(1..m)**top for m = 0..n, from the Fraction tables."""
+    values = fraction_values(comp, n, {})
+    lcms = list(accumulate(range(1, n + 1), lcm, initial=1))
+    return [values[m] * lcms[m] ** top for m in range(n + 1)]
+
+
+@pytest.mark.parametrize("stops", [(10, 150), (150, 10), (0, 1, 150, 149, 151)])
+def test_lifted_columns_grow_in_any_order(stops):
+    # each read from 0 is a prefix of one column per (comp, top - w), which is
+    # the table's slice times the column of lcm(1..m)**(top - w)
+    mhsums.clear_caches()
+    comps = ((2, 1), (-3, 1, 2), (1,), ())
+    for n in stops:
+        for comp in comps:
+            w = sum(k for k in comp if k > 0)
+            for e in (1, 3):
+                want = oracle._scaled(0, n, comp, w)
+                want = list(map(mul, want, _lcm_powers(0, n, e)))
+                assert oracle._scaled(0, n, comp, w + e) == want, (n, comp, e)
+    for comp in comps:
+        w = sum(k for k in comp if k > 0)
+        for e in (1, 3):
+            column = oracle._lifted[(comp, e)]
+            assert len(column) == max(stops) + 1
+            assert column == lifted_reference(comp, max(stops), w + e)
+    assert sorted(oracle._lifted) == sorted((c, e) for c in comps for e in (1, 3))
+
+
+def test_lifted_reads_past_zero_leave_no_column():
+    # a read from lo > 0 lifts its own slice; the memo is only for reads from 0
+    mhsums.clear_caches()
+    want = lifted_reference((2, 1), 90, 6)
+    for lo, hi in ((90, 90), (1, 90), (37, 60)):
+        assert oracle._scaled(lo, hi, (2, 1), 6) == want[lo : hi + 1]
+    assert oracle._lifted == {}
+
+
+def test_two_threads_extend_and_read_one_lifted_column():
+    mhsums.clear_caches()
+    comp, top, n_max = (2, 1, 1), 7, 150
+    want = lifted_reference(comp, n_max, top)
+    bad = []
+    barrier = threading.Barrier(2)
+
+    def extend():
+        barrier.wait()
+        for n in range(0, n_max + 1, 3):
+            if oracle._scaled(0, n, comp, top) != want[: n + 1]:
+                bad.append(("extend", n))
+
+    def read():
+        barrier.wait()
+        for n in range(0, n_max + 1, 5):
+            if oracle._scaled(0, n, comp, top)[n] != want[n]:
+                bad.append(("read", n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-column
+    try:
+        threads = [threading.Thread(target=f) for f in (extend, read)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert bad == []
+    assert oracle._lifted[(comp, 3)] == want
 
 
 def test_scaled_numerators_after_verify():

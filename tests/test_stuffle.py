@@ -176,6 +176,7 @@ def test_clear_caches_empties_every_memo():
             mhsums.reduce(6, (2, 1, 1)),
             mhsums.c_poly(4, (1, 2)),
             mhs_eval(30, (2, 1)),
+            mhsums.reduce(6, (2, 1)).values(30),
         )
 
     before = results()
@@ -192,10 +193,11 @@ def test_clear_caches_empties_every_memo():
     assert set(memos) == set(mhsums._MEMOS)
     assert _bernoulli_ints is table_ints  # the reducer re-exports the table
     assert all(memo.cache_info().currsize for memo in memos) and _cache
-    assert len(oracle._steps) > 30
+    assert len(oracle._steps) > 30 and oracle._lifted
     mhsums.clear_caches()
     assert [memo.cache_info().currsize for memo in memos] == [0] * 8
     assert _cache == {}
+    assert oracle._lifted == {}
     assert oracle._steps == [1, 1]
     assert _SHARED._minus == [1]
     assert results() == before
