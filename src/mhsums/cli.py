@@ -6,9 +6,14 @@ ends (``... | head``), so that a cut-off ``verify`` never reads as a pass.
 Every emitter is deterministic: the same invocation produces byte-identical
 output.
 
-A command line that starts with a subcommand is read by its parser alone
-(``build_parser``'s ``commands``); anything else, or left over, goes to the
-full parser, so help, usage errors and exit codes are the full parser's.
+Every flag is declared once, in a table of each subcommand's flags
+(``_COMMANDS``), from which ``build_parser`` builds the argparse parser.  A
+well-formed command line is read from the table alone (``_read``): exact
+flags of its subcommand, each given once, as ``flag value`` or
+``--flag=value``, with int values that ``int()`` reads, choices from their
+list and every required flag present.  Any other line, help and usage errors
+among them, goes to the parser, which is built only then, so help, usage
+errors and exit codes are argparse's own.
 
 Around the algebra, a ``sum`` or ``check`` request parses its weight, checks
 its estimated cost and writes its result.  The weight parser builds literals
@@ -27,6 +32,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 from .bernoulli import bernoulli
@@ -408,6 +414,78 @@ def _parse_factors(text: str) -> "list[tuple[int, int]]":
 
 # ------------------------------------------------------------------ parsing
 
+# Each subcommand's help and flags, every flag declared once: build_parser
+# adds them to argparse, and _read reads a well-formed command line by them
+# alone.  A flag is (flag, dest, kind, default, required, help), where kind
+# is int, str, a tuple of choices or None for a switch, and required is True,
+# False or _ONE_OF: exactly one of a subcommand's _ONE_OF flags must be given.
+_ONE_OF = "one of"
+_FORMAT = ("--format", "format", FORMATS, "text", False, None)
+_COMMANDS = {
+    "reduce": ("closed form of sum m^p * H_{m-1}(composition)", (
+        _FORMAT,
+        ("-p", "power", int, None, True, None),
+        ("--comp", "comp", str, "", False, "composition, e.g. '2,1'"),
+        ("--method", "method", METHODS, "recurrence", False, None),
+    )),
+    "sum": ("closed form of sum F(m) * (harmonic factors at m-1)", (
+        _FORMAT,
+        ("--poly", "poly", str, None, True, "weight, e.g. '3*m^2+m'"),
+        ("--power", "power", int, None, _ONE_OF, "inner power t of H_{m-1}"),
+        ("--factors", "factors", str, None, _ONE_OF, "factor list, e.g. '1^1,2^1'"),
+        ("--shifted", "shifted", None, False, False,
+         "sum F(m) * H_m^t over m = 0..n instead (requires --power)"),
+    )),
+    "eval": ("exact value of one (extended) harmonic sum", (
+        _FORMAT,
+        ("--n", "n", int, None, True, None),
+        ("--comp", "comp", str, "", False, None),
+    )),
+    "check": ("remainder structure report for sum F(m) * H_{m-1}^t", (
+        ("--poly", "poly", str, None, True, None),
+        ("--power", "power", int, None, True, None),
+    )),
+    "bernoulli": ("Bernoulli numbers as CSV", (
+        ("--max", "max", int, None, True, None),
+        ("--convention", "convention", ("plus", "minus"), "plus", False, None),
+    )),
+    "table": ("CSV comparing the direct evaluator with reduced forms", (
+        ("--p-max", "p_max", int, None, True, None),
+        ("--weight-max", "weight_max", int, None, True, None),
+        ("--n", "n", int, None, True, None),
+    )),
+    "verify": ("run a verification suite", (
+        ("--suite", "suite", SUITES, None, True, None),
+        ("--max-n", "max_n", int, None, True, None),
+    )),
+}
+# subcommand -> {flag: its entry above}
+_FLAGS = {
+    name: {spec[0]: spec for spec in specs} for name, (_, specs) in _COMMANDS.items()
+}
+
+
+class _Value(argparse.Action):
+    """argparse's store action for a flag with a value.  argparse 3.10 to
+    3.12 read an explicit ``--flag=--`` as an empty list, unchecked by its
+    type and choices; this refuses it as a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, values)
+
+
+def _add_flag(parser, spec) -> None:
+    flag, dest, kind, default, required, help = spec
+    options = {"type": int} if kind is int else {}
+    if isinstance(kind, tuple):
+        options["choices"] = kind
+    parser.add_argument(
+        flag, dest=dest, action="store_true" if kind is None else _Value,
+        default=default, required=required is True, help=help, **options,
+    )
+
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -420,61 +498,85 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=FORMATS, default="text")
-
-    p_reduce = sub.add_parser(
-        "reduce",
-        parents=[fmt],
-        help="closed form of sum m^p * H_{m-1}(composition)",
-    )
-    p_reduce.add_argument("-p", dest="power", type=int, required=True)
-    p_reduce.add_argument("--comp", default="", help="composition, e.g. '2,1'")
-    p_reduce.add_argument("--method", choices=METHODS, default="recurrence")
-
-    p_sum = sub.add_parser(
-        "sum",
-        parents=[fmt],
-        help="closed form of sum F(m) * (harmonic factors at m-1)",
-    )
-    p_sum.add_argument("--poly", required=True, help="weight, e.g. '3*m^2+m'")
-    group = p_sum.add_mutually_exclusive_group(required=True)
-    group.add_argument("--power", type=int, help="inner power t of H_{m-1}")
-    group.add_argument("--factors", help="factor list, e.g. '1^1,2^1'")
-    p_sum.add_argument(
-        "--shifted",
-        action="store_true",
-        help="sum F(m) * H_m^t over m = 0..n instead (requires --power)",
-    )
-
-    p_eval = sub.add_parser(
-        "eval", parents=[fmt], help="exact value of one (extended) harmonic sum"
-    )
-    p_eval.add_argument("--n", type=int, required=True)
-    p_eval.add_argument("--comp", default="")
-
-    p_check = sub.add_parser(
-        "check", help="remainder structure report for sum F(m) * H_{m-1}^t"
-    )
-    p_check.add_argument("--poly", required=True)
-    p_check.add_argument("--power", type=int, required=True)
-
-    p_bern = sub.add_parser("bernoulli", help="Bernoulli numbers as CSV")
-    p_bern.add_argument("--max", type=int, required=True)
-    p_bern.add_argument("--convention", choices=("plus", "minus"), default="plus")
-
-    p_table = sub.add_parser(
-        "table", help="CSV comparing the direct evaluator with reduced forms"
-    )
-    p_table.add_argument("--p-max", type=int, required=True)
-    p_table.add_argument("--weight-max", type=int, required=True)
-    p_table.add_argument("--n", type=int, required=True)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--suite", choices=SUITES, required=True)
-    p_verify.add_argument("--max-n", type=int, required=True)
-
-    top.commands = sub.choices  # name -> subparser, read by ``main``
+    _add_flag(fmt, _FORMAT)
+    for name, (help, specs) in _COMMANDS.items():
+        parents = [fmt] if _FORMAT in specs else []
+        parser = sub.add_parser(name, parents=parents, help=help)
+        group = None
+        for spec in specs:
+            if spec[4] == _ONE_OF:
+                group = group or parser.add_mutually_exclusive_group(required=True)
+                _add_flag(group, spec)
+            elif spec is not _FORMAT:
+                _add_flag(parser, spec)
     return top
+
+
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's negative number
+
+
+def _is_value(token: str, flags) -> bool:
+    """Whether argparse reads ``token``, after a flag, as that flag's value:
+    it does not start with "-", or it is a negative number, or it holds a
+    space, starts with one "-" and does not start with a short flag of its
+    subcommand (-h, -p)."""
+    return (
+        token[:1] != "-"
+        or _NEGATIVE.match(token) is not None
+        or (" " in token and token[1] != "-" and token[:2] not in ("-h", *flags))
+    )
+
+
+def _read(argv) -> "argparse.Namespace | None":
+    """``build_parser().parse_args(argv)`` for a well-formed command line,
+    read by the flag table alone: exact flags of the subcommand, each given
+    once, as ``flag value`` or ``--flag=value``, with values that ``int()``
+    reads or that are among the choices, and every required flag present.
+    None for any other line, among them help, abbreviations, usage errors
+    and the value ``--``."""
+    flags = _FLAGS.get(argv[0]) if argv else None
+    if flags is None:
+        return None
+    values = {}
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        spec = flags.get(token)
+        if spec is None:
+            flag, eq, value = token.partition("=")
+            long = eq and flag[:2] == "--" and value != "--"
+            spec = flags.get(flag) if long else None
+            if spec is None or spec[2] is None:
+                return None
+        elif spec[2] is None:
+            value = True
+        elif i + 1 < len(argv) and _is_value(argv[i + 1], flags):
+            i += 1
+            value = argv[i]
+        else:
+            return None
+        i += 1
+        _, dest, kind, _, _, _ = spec
+        if dest in values:
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and kind is not None and value not in kind:
+            return None
+        values[dest] = value
+    namespace, chosen = {"command": argv[0]}, []
+    for _, dest, _, default, required, _ in _COMMANDS[argv[0]][1]:
+        if required == _ONE_OF:
+            chosen.append(dest in values)
+        elif required and dest not in values:
+            return None
+        namespace[dest] = values.get(dest, default)
+    if chosen and sum(chosen) != 1:
+        return None
+    return argparse.Namespace(**namespace)
 
 
 # ------------------------------------------------------------------ actions
@@ -601,24 +703,20 @@ _ACTIONS = {
 
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first ``main`` call and reused after it:
-    building takes about 20 times as long as a full parse of one command
-    line, and 30 times as long as its subcommand's parser alone."""
+    """The parser, built the first time ``main`` meets a command line that
+    ``_read`` declines, and reused after it; a well-formed line never
+    builds it."""
     return build_parser()
 
 
 def main(argv: "list[str] | None" = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    top = _parser()
-    # a subcommand's own parser reads its arguments as the full parser would
-    # hand them down; anything else, or anything left over, goes to the full
-    # parser, which reports it
-    sub = top.commands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, rest = sub.parse_known_args(argv[1:])
-        args.command = argv[0]
-    if sub is None or rest:
-        args = top.parse_args(argv)
+    # the flag table reads a well-formed line; argparse reads any other, so
+    # help, usage errors and exit codes are its own.  Both run before the
+    # digit guard is lifted, so an int flag of 5,000 digits is a usage error.
+    args = _read(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     # Exact results can have more digits than the interpreter's int-to-str
     # guard allows (4300 by default).  Lift it for this call only, so that
     # library callers in the same process see no change.

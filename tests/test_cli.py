@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -907,8 +908,9 @@ def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
     assert proc.stdout == "0\n"
 
 
-# main hands a command line to its subcommand's parser alone; each of these
-# must read exactly as through the full parser: help, usage errors, results
+# main reads a well-formed command line by its flag table alone; each of
+# these must read exactly as through the full parser: help, usage errors,
+# results, and values that start with "-"
 COMMANDS = tuple(cli._ACTIONS)
 DISPATCH_INPUTS = [
     [],
@@ -932,6 +934,29 @@ DISPATCH_INPUTS = [
     ["eval", "--n", "7", "--comp", "2,1"],
     ["verify", "--suite", "none", "--max-n", "3"],
     *LIMIT_INPUTS,
+    # a value that starts with "-" is a value when it is a negative number
+    # or holds a space, and no short flag of its subcommand starts it
+    ["sum", "--poly", "-m + 1", "--power", "1"],
+    ["sum", "--poly", "-3*m^2 + m", "--power", "1", "--format", "json"],
+    ["sum", "--poly", "-h + m", "--power", "1"],
+    ["sum", "--poly", "-m", "--power", "1"],
+    ["sum", "--poly", "-p 1", "--power", "1"],
+    ["reduce", "-p", "1", "--comp", "-p 1"],
+    ["reduce", "-p", "-5"],
+    ["reduce", "-p", "-1.5"],
+    ["reduce", "-p", "1", "--comp", "-1"],
+    ["reduce", "-p", "1", "--comp", "--x y"],
+    ["reduce", "-p", "1", "--comp", "-"],
+    ["reduce", "-p", "1", "--comp", "--"],
+    ["reduce", "-p", "1", "--comp="],
+    # lines the flag table declines: a short flag joined to its value,
+    # repeated flags, a switch given a value, an int past the digit guard
+    ["reduce", "-p5"],
+    ["reduce", "-p=5"],
+    ["reduce", "-p", "2", "--comp", "1", "--comp", "2"],
+    ["sum", "--poly", "m", "--power", "1", "--shifted", "--shifted"],
+    ["sum", "--poly", "m", "--power=1", "--shifted=1"],
+    ["reduce", "-p", "9" * 5000],
 ]
 
 
@@ -948,9 +973,7 @@ def outcome(argv, capsys):
 def test_dispatch_matches_the_full_parser(argv, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     got = outcome(argv, capsys)
-    full = cli.build_parser()
-    full.commands = {}  # no subcommand of its own: main falls back every time
-    monkeypatch.setattr(cli, "_parser", lambda: full)
+    monkeypatch.setattr(cli, "_read", lambda argv: None)  # argparse reads every line
     assert outcome(argv, capsys) == got
 
 
@@ -978,12 +1001,23 @@ def _ones(k):
     return ",".join(["1"] * k)
 
 
+# Values that start with "-": argparse reads such a token after a flag as
+# its value only when it is a negative number or holds a space, and no short
+# flag of the subcommand starts it; "--" ends the flags, and 3.10 to 3.12
+# read an explicit --flag=-- as an empty list.
+DASHES = ["-5", "-1.5", "-m + 1", "-h + m", "-p 1", "--x y", "-", "--"]
+
+
 def _mostly(valid, bad):
-    return st.integers(0, 3).flatmap(lambda i: valid if i else st.sampled_from(bad))
+    return st.integers(0, 3).flatmap(
+        lambda i: valid if i else st.sampled_from(bad + DASHES)
+    )
 
 
 def _ints(cheap_max, limit):
-    return _mostly(st.integers(0, cheap_max), [limit + 1, -1, -limit]).map(str)
+    return _mostly(
+        st.integers(0, cheap_max).map(str), [str(limit + 1), "-1", str(-limit)]
+    )
 
 
 def _comps(entries, bad):
@@ -1068,7 +1102,10 @@ UNKNOWN = ["--bogus", "--bogus=1", "-x", "extra", "--"]
 @st.composite
 def command_lines(draw):
     """``(argv, format)``: a required flag is left out one time in eight, an
-    optional one half the time, and --factors mostly stands in for --power."""
+    optional one half the time, and --factors mostly stands in for --power.
+    A long flag takes its value as ``--flag=value`` half the time and as
+    the next token otherwise, so that a value that starts with "-" is drawn
+    both ways."""
     command = draw(st.sampled_from(sorted(GRAMMAR)))
     flags = {}
     for flag, (values, required) in GRAMMAR[command].items():
@@ -1082,8 +1119,9 @@ def command_lines(draw):
     for flag, value in draw(st.permutations(list(flags.items()))):
         if value is None:
             tokens.append(flag)
-        elif value is not False:  # a long flag's value may start with "-"
-            tokens += [f"{flag}={value}"] if flag[1] == "-" else [flag, value]
+        elif value is not False:
+            explicit = flag[1] == "-" and draw(st.booleans())
+            tokens += [f"{flag}={value}"] if explicit else [flag, value]
     if draw(st.integers(0, 7)) == 0:
         token = draw(st.sampled_from(UNKNOWN))
         tokens.insert(draw(st.integers(0, len(tokens))), token)
@@ -1127,3 +1165,84 @@ def test_random_command_lines_end_in_a_result_or_a_clean_exit(drawn):
             assert out.splitlines()[-1].endswith(" identities verified")
         else:
             assert out.endswith("\n") and out.count("\n") == 1 and out.strip()
+
+
+PARSER = cli.build_parser()
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_the_flag_table_reads_a_line_as_the_full_parser_does(drawn):
+    argv, _ = drawn
+    args = cli._read(argv)
+    assert args is None or vars(args) == vars(PARSER.parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (command, flag)
+        for command, flags in GRAMMAR.items()
+        for flag in flags
+        if flag != "--shifted"  # the one switch, which takes no value
+    ],
+)
+def test_an_explicit_double_dash_value_is_a_usage_error(command, flag, capsys):
+    # argparse 3.10 to 3.12 store [] for --flag=--, past its type and
+    # choices; each line once ended in a traceback, or in a result
+    required = [f for f, (_, needed) in GRAMMAR[command].items() if needed]
+    cheap = {"-p": "1", "--poly": "m", "--suite": "reduce", "--weight-max": "1"}
+    flags = {f: cheap.get(f, "2") for f in required if f != flag}
+    if flag == "--factors":
+        flags.pop("--power")
+    argv = [command, *(t for f, v in flags.items() for t in (f, v)), f"{flag}=--"]
+    code, out, err = outcome(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    if sys.version_info < (3, 13):
+        assert err.endswith(f"error: argument {flag}: expected one argument\n")
+
+
+def _workload_lines():
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [
+        request
+        for name in ("reduce_deep", "sum_session")
+        for seed in range(5)
+        for kind, request, _ in getattr(workloads, name)(seed)
+        if kind == "cli"
+    ]
+
+
+def test_the_benchmark_lines_are_read_from_the_flag_table():
+    lines = _workload_lines()
+    assert {argv[0] for argv in lines} == {"reduce", "sum", "check"}
+    # sum_session's weights with a negative leading coefficient among them
+    assert any(argv[2].startswith("-") for argv in lines if argv[0] == "sum")
+    for argv in lines:
+        args = cli._read(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(PARSER.parse_args(argv))
+
+
+def test_a_well_formed_line_builds_no_parser():
+    # the flag table reads the first two lines; the usage error builds it
+    probe = (
+        "import contextlib, io, mhsums.cli as c\n"
+        "for argv in (['reduce', '-p', '3', '--comp=2,1', '--method', 'both'],\n"
+        "             ['sum', '--poly', '-m + 1', '--power', '1'],\n"
+        "             ['reduce', '-p', 'x']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "            contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            c.main(argv)\n"
+        "        except SystemExit:\n"
+        "            pass\n"
+        "    print(c._parser.cache_info().currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n0\n1\n"
