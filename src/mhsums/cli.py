@@ -466,9 +466,9 @@ _FLAGS = {
 
 
 class _Value(argparse.Action):
-    """argparse's store action for a flag with a value.  argparse 3.10 to
-    3.12 read an explicit ``--flag=--`` as an empty list, unchecked by its
-    type and choices; this refuses it as a usage error."""
+    """argparse's store action for a flag with a value.  Some argparse
+    releases read an explicit ``--flag=--`` as an empty list, unchecked by
+    its type and choices; this refuses it as a usage error."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         if values == []:
@@ -497,17 +497,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    fmt = argparse.ArgumentParser(add_help=False)
-    _add_flag(fmt, _FORMAT)
     for name, (help, specs) in _COMMANDS.items():
-        parents = [fmt] if _FORMAT in specs else []
-        parser = sub.add_parser(name, parents=parents, help=help)
+        parser = sub.add_parser(name, help=help)
         group = None
         for spec in specs:
             if spec[4] == _ONE_OF:
                 group = group or parser.add_mutually_exclusive_group(required=True)
                 _add_flag(group, spec)
-            elif spec is not _FORMAT:
+            else:
                 _add_flag(parser, spec)
     return top
 
